@@ -13,7 +13,6 @@ same sequence yields floor(q/2) disjoint covers.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,7 @@ from .core import (
     count_covers,
 )
 from .offline import pairing_offline
-from .online import OnlineAlgorithm
+from .online import OnlineAlgorithm, assign_all
 
 MAX_BOUND_Q = 40
 
@@ -367,13 +366,12 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
     universe = bu.universe
     opening = gen_scom(q)
     algo.init(universe, q)
-    log = [operator.index(algo.assign(s)) for s in opening]
+    log: list[int] = []
+    assign_all(algo, opening, log)
     view, bottlenecks = derive_structure(Allocation(tuple(log)), q)
     rationed, filler = _tail_parts(view, bottlenecks, variant)
-    for s in rationed:
-        log.append(operator.index(algo.assign(s)))
-    for s in filler:
-        log.append(operator.index(algo.assign(s)))
+    assign_all(algo, rationed, log)
+    assign_all(algo, filler, log)
     algo.finish()
     sequence = tuple(opening + rationed + filler)
     alloc = Allocation(tuple(log))

@@ -19,6 +19,7 @@ with status 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -47,7 +48,6 @@ from .adversary import (
 from .core import (
     Allocation,
     Instance,
-    MalformedInstanceError,
     Subset,
     Universe,
     count_covers,
@@ -57,7 +57,6 @@ from .core import (
 )
 from .offline import (
     LimitExceededError,
-    TranscriptError,
     exact_max_disjoint_covers,
     polyoff,
 )
@@ -177,7 +176,7 @@ def make_algorithm(name: str, *, seed: int = 0,
     if name == "external":
         if not cmd:
             raise ValueError("external algorithm needs --cmd")
-        return external_protocol_driver(cmd, timeout=timeout)
+        return ExternalAlgorithm(cmd, timeout=timeout)
     raise ValueError(f"unknown algorithm {name!r}")
 
 
@@ -233,11 +232,7 @@ def emit_results(records: Sequence[ExperimentRecord], fmt: str = "csv",
         text = json.dumps(rows, indent=1) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_text(text, path)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +284,10 @@ class ExternalAlgorithm(OnlineAlgorithm):
     def finish(self) -> None:
         if self._proc is None:
             return
-        try:
+        # exiting right after the final reply is legal; END is best effort
+        # once every subset has been answered
+        with contextlib.suppress(ProtocolViolationError):
             self._send("END")
-        except ProtocolViolationError:
-            # exiting right after the final reply is legal; END is best
-            # effort once every subset has been answered
-            pass
         leftover = self._drain()
         self.close()
         if leftover.strip():
@@ -374,14 +367,6 @@ class ExternalAlgorithm(OnlineAlgorithm):
         return out
 
 
-def external_protocol_driver(command: str | Sequence[str],
-                             timeout: float = DEFAULT_TIMEOUT,
-                             ) -> ExternalAlgorithm:
-    """Adapt ``command`` (a child process speaking the line protocol) into
-    an online algorithm."""
-    return ExternalAlgorithm(command, timeout=timeout)
-
-
 # ---------------------------------------------------------------------------
 # argparse front end
 # ---------------------------------------------------------------------------
@@ -458,8 +443,7 @@ def cmd_offline_exact(args) -> int:
 
 def cmd_offline_polyoff(args) -> int:
     inst = _load_instance(args.instance)
-    coloring = polyoff(inst.subsets, inst.universe,
-                       num_colors=args.colors, seed=args.seed)
+    coloring = polyoff(inst.subsets, inst.universe, num_colors=args.colors)
     covers = count_covers(Allocation(coloring.color_of), inst.subsets,
                           inst.universe)
     print(f"colors {coloring.num_colors}")
@@ -468,24 +452,33 @@ def cmd_offline_polyoff(args) -> int:
     return 0
 
 
+def _run_algorithm(args, score: str, run):
+    """Return ``run(algo)`` for ``args.algo``, always closing an external
+    child; a protocol violation prints a zero ``score`` and returns None."""
+    algo = make_algorithm(args.algo, seed=args.seed, num_colors=args.colors,
+                          cmd=args.cmd, timeout=args.timeout)
+    try:
+        return run(algo)
+    except ProtocolViolationError as exc:
+        print(f"algo {args.algo}")
+        print(f"{score} 0")
+        print(f"protocol violation: {exc}", file=sys.stderr)
+        return None
+    finally:
+        if isinstance(algo, ExternalAlgorithm):
+            algo.close()
+
+
 def cmd_online(args) -> int:
     inst = _load_instance(args.instance)
     fmin = _effective_fmin(inst, args.fmin)
     if fmin < 1:
         raise ValueError(
             "instance has fmin < 1; pass --fmin or fix the instance")
-    algo = make_algorithm(args.algo, seed=args.seed, num_colors=args.colors,
-                          cmd=args.cmd, timeout=args.timeout)
-    try:
-        result = run_online(algo, inst.subsets, inst.universe, fmin)
-    except ProtocolViolationError as exc:
-        print(f"algo {args.algo}")
-        print("covers 0")
-        print(f"protocol violation: {exc}", file=sys.stderr)
+    result = _run_algorithm(args, "covers", lambda algo: run_online(
+        algo, inst.subsets, inst.universe, fmin))
+    if result is None:
         return 2
-    finally:
-        if isinstance(algo, ExternalAlgorithm):
-            algo.close()
     print(f"algo {args.algo}")
     print(f"fmin {fmin}")
     print(f"covers {result.covers}")
@@ -497,18 +490,10 @@ def cmd_online(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    algo = make_algorithm(args.algo, seed=args.seed, num_colors=args.colors,
-                          cmd=args.cmd, timeout=args.timeout)
-    try:
-        game = play_game(algo, args.q, args.variant)
-    except ProtocolViolationError as exc:
-        print(f"algo {args.algo}")
-        print("t_online 0")
-        print(f"protocol violation: {exc}", file=sys.stderr)
+    game = _run_algorithm(args, "t_online", lambda algo: play_game(
+        algo, args.q, args.variant))
+    if game is None:
         return 2
-    finally:
-        if isinstance(algo, ExternalAlgorithm):
-            algo.close()
     print(f"algo {args.algo}")
     print(f"q {args.q}")
     print(f"variant {args.variant}")
@@ -591,10 +576,9 @@ def build_parser() -> _Parser:
                       help="instance file (default stdin)")
     o_ex.set_defaults(func=cmd_offline_exact)
 
-    o_po = off_sub.add_parser("polyoff", help="two-phase recoloring")
+    o_po = off_sub.add_parser("polyoff", help="derandomized recoloring")
     o_po.add_argument("instance", nargs="?")
     o_po.add_argument("--colors", type=int, default=None)
-    o_po.add_argument("--seed", type=int, default=0)
     o_po.set_defaults(func=cmd_offline_polyoff)
 
     p_on = sub.add_parser("online", help="stream an instance through an "
@@ -651,11 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProtocolViolationError as exc:
-        print(f"protocol violation: {exc}", file=sys.stderr)
-        return 2
-    except (MalformedInstanceError, LimitExceededError, TranscriptError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,16 +1,15 @@
 """Offline solvers and the shared recoloring engine.
 
 Contains the exact branch-and-bound solver for small instances, the
-two-phase recoloring algorithm ``polyoff`` (random coloring followed by a
-derandomizing recolor pass), and the pairing construction that certifies the
-offline side of adversarial game transcripts.
+one-pass derandomized recoloring algorithm ``polyoff``, and the pairing
+construction that certifies the offline side of adversarial game
+transcripts.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
@@ -102,7 +101,6 @@ class ExpectationTracker:
         self._recolored = np.zeros(len(self._sizes), dtype=np.int64)
         self._present = np.zeros((len(self._sizes), num_colors), dtype=bool)
         self._pcount = np.zeros(len(self._sizes), dtype=np.int64)
-        self._done: set[int] = set()
         self.steps = 0
         self.probe = probe
         self._expectation = self.recompute()
@@ -125,10 +123,10 @@ class ExpectationTracker:
 
     def recolor(self, vertex: int, incident_edges: Sequence[int]) -> int:
         """Recolor ``vertex`` with the expectation-minimizing color, apply
-        the update and return the color.  Ties pick the lowest color id."""
-        if vertex in self._done:
-            raise ValueError(f"vertex {vertex} recolored twice")
-        self._done.add(vertex)
+        the update and return the color.  Ties pick the lowest color id.
+        Vertices must come in index order: ``vertex`` is the step count."""
+        if vertex != self.steps:
+            raise ValueError(f"vertex {vertex} recolored out of order")
         before = self._expectation
         idx = np.asarray(incident_edges, dtype=np.intp)
         if idx.size == 0:
@@ -162,36 +160,21 @@ class ExpectationTracker:
         return color
 
 
-def recolor_argmin(tracker: ExpectationTracker, vertex: int,
-                   incident_edges: Sequence[int]) -> int:
-    """Recolor ``vertex`` (incident to the given edges) with the color that
-    minimizes the tracker's expectation after the step."""
-    return tracker.recolor(vertex, incident_edges)
-
-
 def polyoff(subsets: SubsetSequence, universe: Universe,
-            num_colors: int | None = None, seed: int = 0,
+            num_colors: int | None = None,
             probe: TrackerProbe | None = None) -> Coloring:
-    """Two-phase coloring of the dual hypergraph.
+    """Derandomized coloring of the dual hypergraph.
 
-    Phase one colors every subset uniformly at random with ``seed``.  Phase
-    two walks the subsets in index order and recolors each with the argmin
-    rule, conditioning only on recolored vertices; the phase-one colors act
-    as the random prior and every one of them is overwritten, so the output
-    is deterministic for a given instance.  At least
-    num_colors - floor(E0) colors come out valid, where E0 is the tracker
-    expectation before any recoloring.
+    Walks the subsets in index order and colors each with the tracker's
+    argmin rule; the random coloring exists only in the analysis, so the
+    output is deterministic.  At least num_colors - floor(E0) colors come
+    out valid, where E0 is the tracker expectation before any recoloring.
     """
     freq = frequencies(subsets, universe)
     if num_colors is None:
         num_colors = default_num_colors(universe.n, freq.fmin)
-    if num_colors < 1:
-        raise ValueError("need at least one color")
-    rng = random.Random(seed)
-    colors = [rng.randrange(num_colors) for _ in subsets]
     tracker = ExpectationTracker(num_colors, freq.counts, probe=probe)
-    for j, s in enumerate(subsets):
-        colors[j] = tracker.recolor(j, s.members)
+    colors = [tracker.recolor(j, s.members) for j, s in enumerate(subsets)]
     return Coloring(tuple(colors), num_colors)
 
 

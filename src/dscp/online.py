@@ -9,7 +9,6 @@ the subsets only one at a time.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from abc import ABC, abstractmethod
@@ -28,7 +27,6 @@ from .offline import (
     ExpectationTracker,
     TrackerProbe,
     default_num_colors,
-    recolor_argmin,
 )
 
 
@@ -76,27 +74,18 @@ class GreedyCover(OnlineAlgorithm):
 
 class RandColour(OnlineAlgorithm):
     """Assign each subset a uniformly random partition out of a fixed
-    budget.  The budget defaults to max(1, floor(fmin / ln(n ln n)));
-    ``use_ln_n`` switches the divisor to plain ln(n)."""
+    budget.  The budget defaults to max(1, floor(fmin / ln(n ln n)))."""
 
     name = "randcolour"
 
-    def __init__(self, seed: int = 0, num_colors: int | None = None,
-                 use_ln_n: bool = False):
+    def __init__(self, seed: int = 0, num_colors: int | None = None):
         self.seed = seed
         self._requested = num_colors
-        self.use_ln_n = use_ln_n
         self.num_colors = 0
 
     def init(self, universe: Universe, fmin: int) -> None:
         if self._requested is not None:
             self.num_colors = self._requested
-        elif self.use_ln_n:
-            if universe.n < 2:
-                self.num_colors = max(1, fmin)
-            else:
-                self.num_colors = max(
-                    1, math.floor(fmin / math.log(universe.n)))
         else:
             self.num_colors = default_num_colors(universe.n, fmin)
         if self.num_colors < 1:
@@ -134,19 +123,14 @@ class PolyOn(OnlineAlgorithm):
             self.num_colors = self._requested
         else:
             self.num_colors = default_num_colors(universe.n, fmin)
-        if self.num_colors < 1:
-            raise ValueError("need at least one color")
         self.tracker = ExpectationTracker(
             self.num_colors, [fmin] * universe.n, probe=self.probe)
         self._shrink = ShrinkState(fmin)
         self._universe = universe
-        self._arrived = 0
 
     def assign(self, subset: Subset) -> int:
         shrunk = self._shrink.push(subset)
-        vertex = self._arrived
-        self._arrived += 1
-        return recolor_argmin(self.tracker, vertex, shrunk.members)
+        return self.tracker.recolor(self.tracker.steps, shrunk.members)
 
     def short_elements(self) -> list[int]:
         """Elements the stream never delivered fmin times (declared fmin was
@@ -160,22 +144,18 @@ class OnlineRunResult:
 
     allocation: Allocation
     covers: int
-    log: tuple[int, ...]
     underfull: tuple[int, ...] = ()
 
+    @property
+    def log(self) -> tuple[int, ...]:
+        """Per-step partition ids; irrevocable, so the allocation itself."""
+        return self.allocation.partition_of
 
-def run_online(algo: OnlineAlgorithm, subsets: SubsetSequence,
-               universe: Universe, fmin: int, *,
-               audit: bool = True) -> OnlineRunResult:
-    """Drive an online algorithm over a full sequence.
 
-    The per-step log and the returned allocation are the same thing
-    (assignments are irrevocable).  With ``audit`` on, elements whose true
-    frequency came in under the declared ``fmin`` are reported in
-    ``underfull``; the cover count is reported as-is either way.
-    """
-    algo.init(universe, fmin)
-    log: list[int] = []
+def assign_all(algo: OnlineAlgorithm, subsets: SubsetSequence,
+               log: list[int]) -> None:
+    """The driver loop: feed ``subsets`` to ``algo`` in order and append
+    each returned id to ``log`` once it is a non-negative integer."""
     for s in subsets:
         pid = algo.assign(s)
         try:
@@ -185,6 +165,20 @@ def run_online(algo: OnlineAlgorithm, subsets: SubsetSequence,
         if pid < 0:
             raise ValueError(f"algorithm returned negative partition id {pid}")
         log.append(pid)
+
+
+def run_online(algo: OnlineAlgorithm, subsets: SubsetSequence,
+               universe: Universe, fmin: int, *,
+               audit: bool = True) -> OnlineRunResult:
+    """Drive an online algorithm over a full sequence.
+
+    With ``audit`` on, elements whose true frequency came in under the
+    declared ``fmin`` are reported in ``underfull``; the cover count is
+    reported as-is either way.
+    """
+    algo.init(universe, fmin)
+    log: list[int] = []
+    assign_all(algo, subsets, log)
     algo.finish()
     alloc = Allocation(tuple(log))
     covers = count_covers(alloc, subsets, universe)
@@ -193,4 +187,4 @@ def run_online(algo: OnlineAlgorithm, subsets: SubsetSequence,
         freq = frequencies(subsets, universe)
         underfull = tuple(
             i for i, c in enumerate(freq.counts) if c < fmin)
-    return OnlineRunResult(alloc, covers, tuple(log), underfull)
+    return OnlineRunResult(alloc, covers, underfull)

@@ -400,6 +400,16 @@ def test_play_game_rejects_tiny_q():
         play_game(GreedyCover(), 1, "sa")
 
 
+@pytest.mark.parametrize("bad,fragment", [
+    (-1, "negative partition id"),
+    ("x", "non-integer"),
+])
+def test_play_game_checks_ids_like_run_online(bad, fragment):
+    # the tail goes through the same id checks as run_online
+    with pytest.raises(ValueError, match=fragment):
+        play_game(Scripted([0, 1, 2, 3], default=bad), 4, "sa")
+
+
 def test_transcript_round_trip():
     res = play_game(GreedyCover(), 4, "sb")
     text = transcript_to_text(res.transcript)

@@ -20,7 +20,6 @@ from dscp.cli import (
     ExternalAlgorithm,
     ProtocolViolationError,
     emit_results,
-    external_protocol_driver,
     make_algorithm,
     random_instance,
     run_experiment,
@@ -241,7 +240,7 @@ while True:
 
 def test_external_round_robin():
     seq = [Subset((0,)), Subset((1,)), Subset((0, 1))] * 2
-    algo = external_protocol_driver(child(ROUND_ROBIN))
+    algo = ExternalAlgorithm(child(ROUND_ROBIN))
     res = run_online(algo, seq, Universe(2), 2)
     assert res.log == tuple(i % 3 for i in range(6))
 
@@ -451,6 +450,8 @@ def test_cli_usage_errors_exit_1():
                    stdin="n 1\n0\n").returncode == 1
     assert run_cli("gen", "theorem2", "--n", "1", "--m", "8",
                    "--variant", "1").returncode == 1
+    assert run_cli("offline", "polyoff", "--seed", "1",
+                   stdin="n 1\n0\n").returncode == 1
 
 
 def test_cli_protocol_violation_exit_2():
@@ -459,4 +460,13 @@ def test_cli_protocol_violation_exit_2():
                    stdin="n 2\nfmin 1\n0 1\n")
     assert proc.returncode == 2
     assert "covers 0" in proc.stdout
+    assert "protocol violation" in proc.stderr
+
+
+def test_cli_adversary_protocol_violation_exit_2():
+    bad_child = f"{sys.executable} -c \"print('BANANA', flush=True)\""
+    proc = run_cli("adversary", "--q", "4", "--variant", "sb",
+                   "--algo", "external", "--cmd", bad_child)
+    assert proc.returncode == 2
+    assert proc.stdout == "algo external\nt_online 0\n"
     assert "protocol violation" in proc.stderr

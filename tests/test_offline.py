@@ -1,4 +1,4 @@
-"""Offline solver tests: tracker math, two-phase recoloring, exact search
+"""Offline solver tests: tracker math, derandomized recoloring, exact search
 against an independent brute-force oracle, and the pairing construction."""
 
 import dataclasses
@@ -28,7 +28,6 @@ from dscp.offline import (
     exact_max_disjoint_covers,
     pairing_offline,
     polyoff,
-    recolor_argmin,
 )
 from dscp.online import OnlineAlgorithm
 
@@ -100,7 +99,7 @@ def test_tracker_two_color_toy():
     t = ExpectationTracker(2, [2])
     assert t.recolor(0, [0]) == 0
     assert t.colors_present(0) == {0}
-    assert recolor_argmin(t, 1, [0]) == 1
+    assert t.recolor(1, [0]) == 1
     assert t.expectation == pytest.approx(0.0, abs=1e-12)
 
 
@@ -123,6 +122,20 @@ def test_tracker_error_paths():
     with pytest.raises(ValueError):
         t.recolor(1, [0])       # edge already at its size
     assert ExpectationTracker(2, [1]).recolor(0, []) == 0
+
+
+def test_tracker_recolors_in_index_order():
+    t = ExpectationTracker(2, [1, 3])
+    t.recolor(0, [0])
+    with pytest.raises(ValueError, match="out of order"):
+        t.recolor(2, [1])       # skips vertex 1
+    assert t.steps == 1
+    with pytest.raises(ValueError, match="beyond its size"):
+        t.recolor(1, [0, 1])
+    # a failed step leaves the tracker untouched, so vertex 1 can retry
+    assert t.steps == 1
+    assert t.recolor(1, [1]) == 0
+    assert t.steps == 2
 
 
 def test_tracker_monotone_and_consistent():
@@ -168,17 +181,6 @@ def test_polyoff_demo_two_colors_capped_by_fmin():
     col = polyoff(DEMO, U4, num_colors=2)
     covers = count_covers(Allocation(col.color_of), DEMO, U4)
     assert covers <= frequencies(DEMO, U4).fmin == 1
-
-
-def test_polyoff_ignores_seed():
-    rng = random.Random(0xDE7)
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        seq = random_subsets(rng, n, rng.randint(1, 10))
-        ell = rng.randint(1, 4)
-        a = polyoff(seq, Universe(n), num_colors=ell, seed=0)
-        b = polyoff(seq, Universe(n), num_colors=ell, seed=987654321)
-        assert a == b
 
 
 def test_polyoff_validates_num_colors():

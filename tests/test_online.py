@@ -93,9 +93,6 @@ def test_randcolour_budgets():
     algo = RandColour()
     algo.init(Universe(16), 12)
     assert algo.num_colors == default_num_colors(16, 12) == 3
-    lnn = RandColour(use_ln_n=True)
-    lnn.init(Universe(16), 12)
-    assert lnn.num_colors == math.floor(12 / math.log(16)) == 4
     fixed = RandColour(num_colors=7)
     fixed.init(Universe(16), 12)
     assert fixed.num_colors == 7
