@@ -105,7 +105,7 @@ class Allocation:
     def __post_init__(self):
         for pid in self.partition_of:
             if pid < 0:
-                raise ValueError("partition ids must be non-negative")
+                raise ValueError(f"negative partition id {pid}")
 
     @property
     def num_subsets(self) -> int:
@@ -224,14 +224,6 @@ class ShrinkState:
                 kept.append(i)
             seen[i] = c + 1
         return Subset(tuple(kept))
-
-    def count(self, element: int) -> int:
-        return self._seen.get(element, 0)
-
-    def short_elements(self, universe: Universe) -> list[int]:
-        """Elements that never reached the cap; non-empty means the declared
-        minimum frequency overstated the stream."""
-        return [i for i in universe.elements if self._seen.get(i, 0) < self.limit]
 
 
 def shrink_stream(subsets: SubsetSequence, fmin: int) -> list[Subset]:

@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .adversary import AdversaryTranscript
 
 
+EXACT_LIMIT = 14
+
+
 class LimitExceededError(ValueError):
     """Instance too large for the exact solver."""
 
@@ -91,23 +94,23 @@ class ExpectationTracker:
         if num_colors < 1:
             raise ValueError("need at least one color")
         self.num_colors = num_colors
-        self._sizes = np.asarray(edge_sizes, dtype=np.int64)
-        if self._sizes.ndim != 1 or (self._sizes < 0).any():
+        # vertices of each edge not yet recolored; a copy, since it counts down
+        self._left = np.array(edge_sizes, dtype=np.int64)
+        if self._left.ndim != 1 or (self._left < 0).any():
             raise ValueError("edge sizes must be non-negative")
-        m = int(self._sizes.max(initial=0))
+        m = int(self._left.max(initial=0))
         beta = 1.0 - 1.0 / num_colors
         # beta ** k for k = 0..max size; beta == 0.0 gives [1, 0, 0, ...]
         self._pow = np.power(beta, np.arange(m + 1, dtype=np.float64))
-        self._recolored = np.zeros(len(self._sizes), dtype=np.int64)
-        self._present = np.zeros((len(self._sizes), num_colors), dtype=bool)
-        self._pcount = np.zeros(len(self._sizes), dtype=np.int64)
+        self._present = np.zeros((len(self._left), num_colors), dtype=bool)
+        self._pcount = np.zeros(len(self._left), dtype=np.int64)
         self.steps = 0
         self.probe = probe
         self._expectation = self.recompute()
 
     @property
     def num_edges(self) -> int:
-        return len(self._sizes)
+        return len(self._left)
 
     @property
     def expectation(self) -> float:
@@ -115,8 +118,8 @@ class ExpectationTracker:
 
     def recompute(self) -> float:
         """Expectation from per-edge state, ignoring the running total."""
-        u = self._sizes - self._recolored
-        return float(((self.num_colors - self._pcount) * self._pow[u]).sum())
+        return float(((self.num_colors - self._pcount)
+                      * self._pow[self._left]).sum())
 
     def colors_present(self, edge: int) -> set[int]:
         return {int(c) for c in np.flatnonzero(self._present[edge])}
@@ -132,7 +135,7 @@ class ExpectationTracker:
         if idx.size == 0:
             color = 0
         else:
-            u = self._sizes[idx] - self._recolored[idx]
+            u = self._left[idx]
             if (u < 1).any():
                 raise ValueError("edge recolored beyond its size")
             w = self._pow[u - 1]
@@ -143,7 +146,7 @@ class ExpectationTracker:
             penalty = w @ self._present[idx].astype(np.float64)
             color = int(np.argmin(penalty))
             old_terms = (self.num_colors - self._pcount[idx]) * self._pow[u]
-            self._recolored[idx] += 1
+            self._left[idx] -= 1
             newly = ~self._present[idx, color]
             self._present[idx, color] = True
             self._pcount[idx] += newly
@@ -186,113 +189,86 @@ class ExactResult:
     witness: Allocation
 
 
-def exact_max_disjoint_covers(subsets: SubsetSequence, universe: Universe, *,
-                              max_subsets: int = 14,
-                              max_elements: int = 14) -> ExactResult:
+def exact_max_disjoint_covers(subsets: SubsetSequence,
+                              universe: Universe) -> ExactResult:
     """Branch-and-bound over subset-to-group assignments.
 
     Subsets are placed in index order into an existing open group, a brand
-    new group (always the next unused id, which breaks group-relabeling
-    symmetry) or a garbage pile.  A group is closed and counted the moment
-    it covers the universe.  Nodes are pruned when the completed count plus
-    min over elements of (open groups containing it + remaining occurrences)
-    cannot beat the best known solution.
+    new group or a garbage pile.  A group is closed and counted the moment
+    it covers the universe.  The new group's id is open groups + closed
+    covers, the next unused id, which breaks group-relabeling symmetry.
+    Nodes are pruned when the closed count plus min over elements of (open
+    groups containing it + remaining occurrences) cannot beat the best
+    known solution.  At most EXACT_LIMIT subsets and elements.
     """
     m, n = len(subsets), universe.n
-    if m > max_subsets:
+    if m > EXACT_LIMIT:
         raise LimitExceededError(
-            f"{m} subsets exceeds exact-solver limit {max_subsets}")
-    if n > max_elements:
+            f"{m} subsets exceeds exact-solver limit {EXACT_LIMIT}")
+    if n > EXACT_LIMIT:
         raise LimitExceededError(
-            f"{n} elements exceeds exact-solver limit {max_elements}")
-    freq = frequencies(subsets, universe)
+            f"{n} elements exceeds exact-solver limit {EXACT_LIMIT}")
     if m == 0:
         return ExactResult(0, Allocation(()))
 
+    future = list(frequencies(subsets, universe).counts)  # checks elements
     full = (1 << n) - 1
     masks = [sum(1 << i for i in s.members) for s in subsets]
-    future = list(freq.counts)
 
     GARBAGE = -1
     assign = [GARBAGE] * m
-    open_ids: list[int] = []
-    open_masks: list[int] = []
+    groups: list[list[int]] = []    # open groups as [id, union mask]
+    closed = 0
     best = 0
     best_assign = assign.copy()
-    state = {"completed": 0, "next_id": 0}
-
-    def upper_bound() -> int:
-        ub = None
-        for i in range(n):
-            avail = future[i]
-            for gm in open_masks:
-                if gm >> i & 1:
-                    avail += 1
-            if ub is None or avail < ub:
-                ub = avail
-                if avail == 0:
-                    break
-        return state["completed"] + (ub or 0)
 
     def dfs(j: int) -> None:
-        nonlocal best, best_assign
+        nonlocal closed, best, best_assign
         if j == m:
-            if state["completed"] > best:
-                best = state["completed"]
+            if closed > best:
+                best = closed
                 best_assign = assign.copy()
             return
-        if upper_bound() <= best:
-            return
+        for i in range(n):
+            avail = future[i]
+            for _, gm in groups:
+                avail += gm >> i & 1
+            if closed + avail <= best:
+                return
         s = masks[j]
         for i in subsets[j].members:
             future[i] -= 1
-
-        def place(gid: int, closes: bool, slot: int | None) -> None:
-            assign[j] = gid
-            if closes:
-                state["completed"] += 1
-                if slot is not None:
-                    kept_id = open_ids.pop(slot)
-                    kept_mask = open_masks.pop(slot)
-                    dfs(j + 1)
-                    open_ids.insert(slot, kept_id)
-                    open_masks.insert(slot, kept_mask)
-                else:
-                    dfs(j + 1)
-                state["completed"] -= 1
-            else:
-                dfs(j + 1)
-
         # existing groups; identical unions are interchangeable, try one
         tried: set[int] = set()
-        for slot in range(len(open_masks)):
-            gm = open_masks[slot]
+        for slot, group in enumerate(groups):
+            gid, gm = group
             if gm in tried:
                 continue
             tried.add(gm)
-            merged = gm | s
-            if merged == full:
-                place(open_ids[slot], True, slot)
+            assign[j] = gid
+            if gm | s == full:
+                closed += 1
+                del groups[slot]
+                dfs(j + 1)
+                groups.insert(slot, group)
+                closed -= 1
             else:
-                open_masks[slot] = merged
-                place(open_ids[slot], False, None)
-                open_masks[slot] = gm
+                group[1] = gm | s
+                dfs(j + 1)
+                group[1] = gm
         # new group
-        gid = state["next_id"]
-        state["next_id"] += 1
+        assign[j] = len(groups) + closed
         if s == full:
-            place(gid, True, None)
+            closed += 1
+            dfs(j + 1)
+            closed -= 1
         else:
-            open_ids.append(gid)
-            open_masks.append(s)
-            place(gid, False, None)
-            open_ids.pop()
-            open_masks.pop()
-        state["next_id"] -= 1
+            groups.append([assign[j], s])
+            dfs(j + 1)
+            groups.pop()
         # garbage
         assign[j] = GARBAGE
         dfs(j + 1)
-
         for i in subsets[j].members:
             future[i] += 1
 
@@ -311,7 +287,7 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     classes jointly contain every bottleneck element, and the rest of the
     universe is filled with tail singletons.  Everything left over joins the
     first pair's partition, so the result has exactly floor(q/2) partitions,
-    each verified to be a cover.
+    each a cover by construction (``play_game`` recounts them).
     """
     q = transcript.q
     n = transcript.universe.n
@@ -347,10 +323,8 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     for pid, (x, y) in enumerate(pairs):
         partition_of[x] = pid
         partition_of[y] = pid
-        got = 0
         for e in range(n):
             if (e >> x) & 1 or (e >> y) & 1:
-                got += 1
                 continue
             # element invisible to both openers; bottlenecks never are
             if e in bottlenecks:
@@ -361,7 +335,4 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
                 raise TranscriptError(
                     f"ran out of {{{e}}} singletons while pairing")
             partition_of[stock.pop()] = pid
-            got += 1
-        if got != n:
-            raise TranscriptError("pair failed to cover the universe")
     return Allocation(tuple(partition_of))

@@ -126,16 +126,10 @@ class PolyOn(OnlineAlgorithm):
         self.tracker = ExpectationTracker(
             self.num_colors, [fmin] * universe.n, probe=self.probe)
         self._shrink = ShrinkState(fmin)
-        self._universe = universe
 
     def assign(self, subset: Subset) -> int:
         shrunk = self._shrink.push(subset)
         return self.tracker.recolor(self.tracker.steps, shrunk.members)
-
-    def short_elements(self) -> list[int]:
-        """Elements the stream never delivered fmin times (declared fmin was
-        too optimistic); empty when the a-priori promise held."""
-        return self._shrink.short_elements(self._universe)
 
 
 @dataclass(frozen=True)
@@ -155,15 +149,14 @@ class OnlineRunResult:
 def assign_all(algo: OnlineAlgorithm, subsets: SubsetSequence,
                log: list[int]) -> None:
     """The driver loop: feed ``subsets`` to ``algo`` in order and append
-    each returned id to ``log`` once it is a non-negative integer."""
+    each returned id to ``log`` once it is an integer (negative ids fail
+    later, in ``Allocation``)."""
     for s in subsets:
         pid = algo.assign(s)
         try:
             pid = operator.index(pid)
         except TypeError:
             raise ValueError(f"algorithm returned non-integer id {pid!r}")
-        if pid < 0:
-            raise ValueError(f"algorithm returned negative partition id {pid}")
         log.append(pid)
 
 

@@ -13,7 +13,6 @@ from dscp.core import (
     Allocation,
     Coloring,
     MalformedInstanceError,
-    ShrinkState,
     Subset,
     Universe,
     build_hypergraph,
@@ -197,16 +196,6 @@ def test_shrink_stream_is_prefix_causal():
         whole = shrink_stream(seq, fmin)
         cut = rng.randint(0, len(seq))
         assert shrink_stream(seq[:cut], fmin) == whole[:cut]
-
-
-def test_shrink_state_counts_and_audit():
-    state = ShrinkState(2)
-    state.push(Subset((0, 1)))
-    state.push(Subset((0,)))
-    assert state.count(0) == 2
-    assert state.count(1) == 1
-    assert state.count(2) == 0
-    assert state.short_elements(Universe(3)) == [1, 2]
 
 
 # ---------------------------------------------------------------------------

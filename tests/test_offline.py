@@ -2,9 +2,11 @@
 against an independent brute-force oracle, and the pairing construction."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dscp.adversary import gen_theorem2, play_game
@@ -167,6 +169,14 @@ def test_probe_recompute_interval():
     assert probe.checks == 2
 
 
+def test_tracker_leaves_caller_sizes_alone():
+    sizes = np.array([2, 3], dtype=np.int64)
+    t = ExpectationTracker(2, sizes)
+    t.recolor(0, [0, 1])
+    t.recolor(1, [1])
+    assert sizes.tolist() == [2, 3]
+
+
 # ---------------------------------------------------------------------------
 # polyoff
 # ---------------------------------------------------------------------------
@@ -257,10 +267,6 @@ def test_exact_limits():
         exact_max_disjoint_covers([Subset((0,))] * 15, Universe(2))
     with pytest.raises(LimitExceededError):
         exact_max_disjoint_covers([Subset((0,))], Universe(15))
-    # explicit limits override the defaults
-    res = exact_max_disjoint_covers([Subset((0,))] * 15, Universe(2),
-                                    max_subsets=20)
-    assert res.opt == 0
 
 
 def test_exact_matches_brute_force():
@@ -274,6 +280,21 @@ def test_exact_matches_brute_force():
         assert res.opt == brute_force_max_covers(seq, universe)
         assert count_covers(res.witness, seq, universe) == res.opt
         assert res.opt <= frequencies(seq, universe).fmin
+
+
+def test_exact_witnesses_pinned():
+    # Many allocations reach the optimum; the digest pins the one the
+    # search order returns, not just the count.
+    rng = random.Random(0x5EED)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, 11)
+        seq = random_subsets(rng, n, m, p=rng.choice([0.3, 0.5, 0.8]))
+        res = exact_max_disjoint_covers(seq, Universe(n))
+        h.update(repr((res.opt, res.witness.partition_of)).encode())
+    assert h.hexdigest() == (
+        "a9e82ce719dd297244015e8fb97813365a94f0db063f839ec724d330ddea40b5")
 
 
 # ---------------------------------------------------------------------------

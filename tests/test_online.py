@@ -173,12 +173,6 @@ def test_polyon_underfull_audit():
     assert quiet.underfull == ()
 
 
-def test_polyon_short_elements_helper():
-    algo = PolyOn()
-    run_online(algo, [Subset((0, 1)), Subset((0,))], Universe(2), 2)
-    assert algo.short_elements() == [1]
-
-
 # ---------------------------------------------------------------------------
 # driver contract
 # ---------------------------------------------------------------------------
