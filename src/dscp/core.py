@@ -69,6 +69,8 @@ class Subset:
         return bool(self.members)
 
 
+_EMPTY = Subset()
+
 # An instance's subsets in arrival order.  Concatenation of sequences is
 # plain list concatenation.
 SubsetSequence = Sequence[Subset]
@@ -179,8 +181,16 @@ def count_covers(alloc: Allocation, subsets: SubsetSequence,
     if alloc.num_subsets != len(subsets):
         raise ValueError("allocation and sequence length differ")
     unions: dict[int, set[int]] = {}
-    for j, pid in enumerate(alloc.partition_of):
-        unions.setdefault(pid, set()).update(subsets[j].members)
+    last = None
+    # allocations come in runs of one id: look up a set once per run
+    for pid, s in zip(alloc.partition_of, subsets):
+        if pid != last:
+            got = unions.get(pid)
+            if got is None:
+                got = unions[pid] = set()
+            update = got.update
+            last = pid
+        update(s.members)
     covers = 0
     for got in unions.values():
         if got and (min(got) < 0 or max(got) >= universe.n):
@@ -215,6 +225,8 @@ class ShrinkState:
         self._seen: dict[int, int] = {}
 
     def push(self, subset: Subset) -> Subset:
+        """The kept part of ``subset``; ``subset`` itself when nothing is
+        dropped (subsets are immutable, so sharing is safe)."""
         kept = []
         seen = self._seen
         limit = self.limit
@@ -223,7 +235,9 @@ class ShrinkState:
             if c < limit:
                 kept.append(i)
             seen[i] = c + 1
-        return Subset(tuple(kept))
+        if len(kept) == len(subset.members):
+            return subset
+        return Subset(tuple(kept)) if kept else _EMPTY
 
 
 def shrink_stream(subsets: SubsetSequence, fmin: int) -> list[Subset]:

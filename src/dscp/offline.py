@@ -100,8 +100,16 @@ class ExpectationTracker:
             raise ValueError("edge sizes must be non-negative")
         m = int(self._left.max(initial=0))
         beta = 1.0 - 1.0 / num_colors
-        # beta ** k for k = 0..max size; beta == 0.0 gives [1, 0, 0, ...]
-        self._pow = np.power(beta, np.arange(m + 1, dtype=np.float64))
+        # beta ** k for k = 0..max size, up to its first 0.0: every later
+        # power is 0.0 too, so reads past the end are clamped to that entry
+        # and the table stays small whatever the edge sizes.  beta ** k
+        # drops below 2**-1075 (rounds to 0.0) once k > 745.2 / -ln(beta),
+        # and -ln(beta) >= 1 / num_colors, so the first 0.0 comes before
+        # 747 * num_colors; beta == 0.0 gives [1, 0].
+        pw = np.power(beta, np.arange(min(m, 747 * num_colors) + 1,
+                                      dtype=np.float64))
+        zeros = np.flatnonzero(pw == 0.0)
+        self._pow = pw[:zeros[0] + 1] if zeros.size else pw
         self._present = np.zeros((len(self._left), num_colors), dtype=bool)
         self._pcount = np.zeros(len(self._left), dtype=np.int64)
         self.steps = 0
@@ -119,41 +127,77 @@ class ExpectationTracker:
     def recompute(self) -> float:
         """Expectation from per-edge state, ignoring the running total."""
         return float(((self.num_colors - self._pcount)
-                      * self._pow[self._left]).sum())
+                      * self._pow.take(self._left, mode="clip")).sum())
 
     def colors_present(self, edge: int) -> set[int]:
         return {int(c) for c in np.flatnonzero(self._present[edge])}
 
     def recolor(self, vertex: int, incident_edges: Sequence[int]) -> int:
         """Recolor ``vertex`` with the expectation-minimizing color, apply
-        the update and return the color.  Ties pick the lowest color id.
-        Vertices must come in index order: ``vertex`` is the step count."""
+        the update and return the color.  Vertices must come in index order:
+        ``vertex`` is the step count.
+
+        Ties pick the lowest color id: the color is the argmin of
+        ``w @ present`` over the incident edges, with ``w`` each edge's
+        weight beta ** (left - 1).  With one incident edge that is its lowest
+        absent color while ``w > 0.0``, and color 0 once every color is
+        present or ``w`` has underflowed to 0.0.  That case (nearly every
+        arrival of a shrunk stream) and the empty one run on scalars; the
+        expectation is updated by the same float operations either way.
+        """
         if vertex != self.steps:
             raise ValueError(f"vertex {vertex} recolored out of order")
         before = self._expectation
-        idx = np.asarray(incident_edges, dtype=np.intp)
-        if idx.size == 0:
+        degree = len(incident_edges)
+        if degree == 0:
             color = 0
         else:
-            u = self._left[idx]
-            if (u < 1).any():
-                raise ValueError("edge recolored beyond its size")
-            w = self._pow[u - 1]
-            # Choosing color c changes the expectation by a c-independent
-            # amount minus the total weight of incident edges still missing
-            # c; minimizing it means maximizing that saving, i.e. minimizing
-            # the weight of edges where c is already present.
-            penalty = w @ self._present[idx].astype(np.float64)
-            color = int(np.argmin(penalty))
-            old_terms = (self.num_colors - self._pcount[idx]) * self._pow[u]
-            self._left[idx] -= 1
-            newly = ~self._present[idx, color]
-            self._present[idx, color] = True
-            self._pcount[idx] += newly
-            new_terms = (self.num_colors - self._pcount[idx]) * w
-            self._expectation = before + float(new_terms.sum() - old_terms.sum())
-            # The argmin choice cannot increase the expectation; leave a hair
-            # of slack for floating point ties.
+            if degree == 1:
+                e = incident_edges[0]
+                u = self._left.item(e)
+                if u < 1:
+                    raise ValueError("edge recolored beyond its size")
+                pw = self._pow
+                top = len(pw) - 1
+                w = pw.item(u - 1 if u - 1 < top else top)
+                k = self._pcount.item(e)
+                # argmin of w * present: the lowest absent color, which is 0
+                # when k == 0; all tie at 0 when k == num_colors or w == 0.0
+                color = (int(self._present[e].argmin())
+                         if w > 0.0 and 0 < k < self.num_colors else 0)
+                old_term = ((self.num_colors - k)
+                            * pw.item(u if u < top else top))
+                self._left[e] = u - 1
+                if not self._present.item(e, color):
+                    self._present[e, color] = True
+                    k += 1
+                    self._pcount[e] = k
+                self._expectation = before + (
+                    (self.num_colors - k) * w - old_term)
+            else:
+                idx = np.asarray(incident_edges, dtype=np.intp)
+                u = self._left[idx]
+                if (u < 1).any():
+                    raise ValueError("edge recolored beyond its size")
+                w = self._pow.take(u - 1, mode="clip")
+                # Choosing color c changes the expectation by a
+                # c-independent amount minus the total weight of incident
+                # edges still missing c; minimizing it means maximizing that
+                # saving, i.e. minimizing the weight of edges where c is
+                # already present.
+                penalty = w @ self._present[idx].astype(np.float64)
+                color = int(np.argmin(penalty))
+                old_terms = ((self.num_colors - self._pcount[idx])
+                             * self._pow.take(u, mode="clip"))
+                self._left[idx] -= 1
+                newly = ~self._present[idx, color]
+                self._present[idx, color] = True
+                self._pcount[idx] += newly
+                new_terms = (self.num_colors - self._pcount[idx]) * w
+                self._expectation = before + float(
+                    new_terms.sum() - old_terms.sum())
+            # The argmin choice cannot increase the expectation; leave a
+            # hair of slack for floating point ties.
             if self._expectation > before + 1e-12 * max(1.0, before):
                 raise AssertionError(
                     f"expectation increased {before} -> {self._expectation}")

@@ -1,5 +1,6 @@
 """Adversary construction tests: openings, tails, bounds, and full games."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -383,6 +384,22 @@ def test_play_game_polyon():
     assert res.offline == 4
     assert res.t_online <= res.bound + (1 if res.split else 0)
     assert res.ratio_lower == res.offline / max(res.t_online, 1)
+
+
+@pytest.mark.parametrize("q, arrivals, digest", [
+    (12, 49146,
+     "5c18649269b6ee15c3bd4294352000402b304242e64bd3cb16842dd3275bd3c6"),
+    (14, 229369,
+     "937bd17a365dc3d7281e84b596a5700dbbfb159ffadf4bade42f0f512b755fcd"),
+])
+def test_play_game_polyon_allocation_pinned(q, arrivals, digest):
+    # the per-arrival shrink and recolor path decides every id; sha256 of
+    # the ids joined by commas
+    game = play_game(PolyOn(), q, "sb")
+    partition_of = game.transcript.allocation.partition_of
+    assert len(partition_of) == arrivals
+    assert hashlib.sha256(",".join(map(str, partition_of)).encode()
+                          ).hexdigest() == digest
 
 
 def test_play_game_offline_covers_verify():

@@ -13,6 +13,7 @@ from dscp.core import (
     Allocation,
     Coloring,
     MalformedInstanceError,
+    ShrinkState,
     Subset,
     Universe,
     build_hypergraph,
@@ -108,6 +109,8 @@ def test_count_covers_demo():
     assert count_covers(Allocation((0, 1, 2)), DEMO, U4) == 0
     full = [Subset(tuple(range(4)))] * 2
     assert count_covers(Allocation((0, 1)), full, U4) == 2
+    with pytest.raises(MalformedInstanceError):
+        count_covers(Allocation((0, 0, 1)), [*full, Subset((4,))], U4)
 
 
 def test_count_covers_length_mismatch():
@@ -124,6 +127,9 @@ def test_count_covers_never_exceeds_fmin():
         alloc = Allocation(tuple(rng.randrange(4) for _ in range(m)))
         covers = count_covers(alloc, seq, Universe(n))
         assert covers <= frequencies(seq, Universe(n)).fmin
+        groups = alloc.groups().values()
+        assert covers == sum(
+            len({i for j in g for i in seq[j]}) == n for g in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +191,28 @@ def test_shrink_stream_caps_frequencies():
         before = frequencies(seq, Universe(n)).counts
         after = frequencies(out, Universe(n)).counts
         assert after == tuple(min(c, fmin) for c in before)
+
+
+def test_shrink_push_matches_recount_and_shares_subsets():
+    # against a plain recount; a subset that loses nothing comes back as
+    # the same object
+    rng = random.Random(0x5A4E)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        seq = random_subsets(rng, n, rng.randint(1, 15))
+        fmin = rng.randint(1, 4)
+        state = ShrinkState(fmin)
+        seen = [0] * n
+        want = []
+        for s in seq:
+            want.append(Subset(tuple(i for i in s if seen[i] < fmin)))
+            for i in s:
+                seen[i] += 1
+            got = state.push(s)
+            assert got == want[-1]
+            if got.members == s.members:
+                assert got is s
+        assert shrink_stream(seq, fmin) == want
 
 
 def test_shrink_stream_is_prefix_causal():

@@ -177,6 +177,77 @@ def test_tracker_leaves_caller_sizes_alone():
     assert sizes.tolist() == [2, 3]
 
 
+class VectorReference:
+    """The tracker's update rule in its plain vectorised form, over a power
+    table with one entry per possible size: the reference the tracker's
+    scalar path and truncated table must match bit for bit."""
+
+    def __init__(self, num_colors, edge_sizes):
+        self.num_colors = num_colors
+        self.left = np.array(edge_sizes, dtype=np.int64)
+        beta = 1.0 - 1.0 / num_colors
+        self.pow = np.power(beta, np.arange(int(self.left.max()) + 1,
+                                            dtype=np.float64))
+        self.present = np.zeros((len(self.left), num_colors), dtype=bool)
+        self.pcount = np.zeros(len(self.left), dtype=np.int64)
+        self.expectation = float(((num_colors - self.pcount)
+                                  * self.pow[self.left]).sum())
+
+    def recolor(self, incident_edges):
+        idx = np.asarray(incident_edges, dtype=np.intp)
+        if idx.size == 0:
+            return 0
+        u = self.left[idx]
+        w = self.pow[u - 1]
+        color = int(np.argmin(w @ self.present[idx].astype(np.float64)))
+        old_terms = (self.num_colors - self.pcount[idx]) * self.pow[u]
+        self.left[idx] -= 1
+        newly = ~self.present[idx, color]
+        self.present[idx, color] = True
+        self.pcount[idx] += newly
+        new_terms = (self.num_colors - self.pcount[idx]) * w
+        self.expectation = self.expectation + float(
+            new_terms.sum() - old_terms.sum())
+        return color
+
+
+def replay_against_reference(rng, num_colors, sizes, steps):
+    """Recolor random incident lists of 0, 1 or 2-4 open edges on both the
+    tracker and the reference; colors and expectations must be equal."""
+    t = ExpectationTracker(num_colors, sizes)
+    ref = VectorReference(num_colors, sizes)
+    assert t.expectation == ref.expectation
+    for v in range(steps):
+        open_edges = [e for e in range(len(sizes)) if ref.left[e] > 0]
+        degree = rng.choice([0, 1, 1, 1, rng.randint(2, 4)])
+        incident = rng.sample(open_edges, min(degree, len(open_edges)))
+        assert t.recolor(v, incident) == ref.recolor(incident)
+        assert t.expectation == ref.expectation
+    return t
+
+
+def test_recolor_scalar_path_matches_vector_rule():
+    rng = random.Random(0x5CA1)
+    for num_colors in (1, 2, 3, 7):
+        for _ in range(25):
+            sizes = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+            replay_against_reference(rng, num_colors, sizes, sum(sizes))
+    # edges of 2000 with 2 colors: w underflows to 0.0 while a color is
+    # still absent, and every color then ties at 0
+    t = replay_against_reference(rng, 2, [2000, 2000, 5], 300)
+    assert t.colors_present(0) == {0}
+
+
+def test_tracker_power_table_is_bounded():
+    # past its first 0.0 the table is clamped, not stored: one entry more
+    # than the index where 0.5 ** k underflows, whatever the edge size;
+    # both recolor paths read the clamped entry
+    t = replay_against_reference(random.Random(0xB0), 2, [5000, 3000, 4],
+                                 2000)
+    assert len(t._pow) <= 1076
+    assert ExpectationTracker(1, [5000])._pow.tolist() == [1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # polyoff
 # ---------------------------------------------------------------------------
