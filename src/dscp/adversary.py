@@ -38,28 +38,6 @@ def _norm_variant(variant: str) -> str:
     return v
 
 
-@dataclass(frozen=True)
-class BitUniverse:
-    """Universe {0,1}^q with elements read as bit strings."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-
-    @property
-    def n(self) -> int:
-        return 1 << self.q
-
-    @property
-    def universe(self) -> Universe:
-        return Universe(self.n)
-
-    def bit(self, element: int, k: int) -> int:
-        return (element >> k) & 1
-
-
 def gen_scom(q: int) -> list[Subset]:
     """The q opening subsets: subset j = elements with bit j set.
 
@@ -138,42 +116,24 @@ class ScomAllocationView:
         return tuple(len(c) for c in self.classes)
 
     @property
-    def max_size(self) -> int:
-        return max(self.sizes)
+    def bottlenecks(self) -> tuple[int, ...]:
+        """Bottleneck element per class, in class order.
 
-    def class_counts(self) -> dict[int, int]:
-        """Map size -> number of classes with that size."""
-        return dict(Counter(self.sizes))
-
-
-@dataclass(frozen=True)
-class BottleneckSet:
-    """Bottleneck element per class, aligned with the view's class order.
-
-    The bottleneck of a class with positions B is the element whose zeros
-    are exactly B: it avoids every subset of the class and belongs to every
-    other opening subset, so the class's partition can never supply it."""
-
-    q: int
-    elements: tuple[int, ...]
-
-    def as_set(self) -> set[int]:
-        return set(self.elements)
-
-    def non_bottlenecks(self) -> list[int]:
-        mine = self.as_set()
-        return [e for e in range(1 << self.q) if e not in mine]
+        The bottleneck of a class with positions B is the element whose
+        zeros are exactly B: it avoids every subset of the class and belongs
+        to every other opening subset, so the class's partition can never
+        supply it."""
+        full = (1 << self.q) - 1
+        return tuple(full ^ sum(1 << p for p in cls) for cls in self.classes)
 
 
-def derive_structure(alloc: Allocation,
-                     q: int) -> tuple[ScomAllocationView, BottleneckSet]:
-    """Read the opening allocation, split an oversized partition, and name
-    the bottleneck elements.
+def derive_structure(alloc: Allocation, q: int) -> ScomAllocationView:
+    """Read the opening allocation and split an oversized partition.
 
     A partition holding more than ceil(q/2) positions would make
     cross-partition pairing impossible, so its positions are virtually
     halved first (at most one partition can be that large).  Bottlenecks are
-    computed per post-split class.
+    those of the post-split classes.
     """
     if alloc.num_subsets != q:
         raise ValueError(f"allocation covers {alloc.num_subsets} subsets, "
@@ -194,21 +154,23 @@ def derive_structure(alloc: Allocation,
         else:
             classes.append(tuple(positions))
     view = ScomAllocationView(q, tuple(classes), split)
-    full = (1 << q) - 1
-    bones = tuple(full ^ sum(1 << p for p in cls) for cls in view.classes)
+    bones = view.bottlenecks
     if len(set(bones)) != len(bones):
         raise AssertionError("bottlenecks must be distinct")
-    return view, BottleneckSet(q, bones)
+    return view
 
 
-def _tail_parts(view: ScomAllocationView, bottlenecks: BottleneckSet,
-                variant: str) -> tuple[list[Subset], list[Subset]]:
+def gen_tail(view: ScomAllocationView,
+             variant: str) -> tuple[list[Subset], list[Subset]]:
+    """The adversary's reply to an opening allocation: the rationed
+    bottleneck subsets, then the non-bottleneck singleton filler."""
     variant = _norm_variant(variant)
     q = view.q
+    bottlenecks = view.bottlenecks
     by_size: dict[int, list[int]] = {}
-    for cls, b in zip(view.classes, bottlenecks.elements):
+    for cls, b in zip(view.classes, bottlenecks):
         by_size.setdefault(len(cls), []).append(b)
-    top = view.max_size
+    top = max(by_size)
 
     rationed: list[Subset] = []
     if variant == "sa":
@@ -224,9 +186,8 @@ def _tail_parts(view: ScomAllocationView, bottlenecks: BottleneckSet,
             rationed.append(Subset.of(pool))
 
     # ration check: every bottleneck appears exactly its class size times
-    tally = Counter(b for s in rationed for b in s.members
-                    if b in bottlenecks.as_set())
-    for cls, b in zip(view.classes, bottlenecks.elements):
+    tally = Counter(b for s in rationed for b in s.members)
+    for cls, b in zip(view.classes, bottlenecks):
         if tally.get(b, 0) != len(cls):
             raise AssertionError(
                 f"bottleneck {b} rationed {tally.get(b, 0)} times, "
@@ -236,24 +197,12 @@ def _tail_parts(view: ScomAllocationView, bottlenecks: BottleneckSet,
     # offline covers and for every partition the algorithm may complete,
     # and together with the opening subsets it pushes every non-bottleneck
     # element to frequency >= q while bottlenecks sit at exactly q.
+    mine = set(bottlenecks)
     filler = []
-    for e in bottlenecks.non_bottlenecks():
-        filler.extend([Subset((e,))] * q)
+    for e in range(1 << q):
+        if e not in mine:
+            filler.extend([Subset((e,))] * q)
     return rationed, filler
-
-
-def gen_tail(structure: tuple[ScomAllocationView, BottleneckSet],
-             q: int, variant: str) -> list[Subset]:
-    """The adversary's reply to an opening allocation: rationed bottleneck
-    subsets followed by the non-bottleneck singleton filler.
-
-    ``structure`` is the pair returned by :func:`derive_structure`.
-    """
-    view, bottlenecks = structure
-    if view.q != q:
-        raise ValueError(f"structure is for q={view.q}, not {q}")
-    rationed, filler = _tail_parts(view, bottlenecks, variant)
-    return rationed + filler
 
 
 def bound_sa(sizes: Sequence[int], q: int) -> int:
@@ -328,9 +277,7 @@ class AdversaryTranscript:
     sequence: tuple[Subset, ...]
     allocation: Allocation
     view: ScomAllocationView
-    bottlenecks: BottleneckSet
     sinf_start: int
-    declared_fmin: int
 
 
 @dataclass(frozen=True)
@@ -362,14 +309,13 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
     if q < 2:
         raise ValueError("q must be at least 2")
     variant = _norm_variant(variant)
-    bu = BitUniverse(q)
-    universe = bu.universe
+    universe = Universe(1 << q)
     opening = gen_scom(q)
     algo.init(universe, q)
     log: list[int] = []
     assign_all(algo, opening, log)
-    view, bottlenecks = derive_structure(Allocation(tuple(log)), q)
-    rationed, filler = _tail_parts(view, bottlenecks, variant)
+    view = derive_structure(Allocation(tuple(log)), q)
+    rationed, filler = gen_tail(view, variant)
     assign_all(algo, rationed, log)
     assign_all(algo, filler, log)
     algo.finish()
@@ -386,8 +332,7 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
 
     transcript = AdversaryTranscript(
         q=q, variant=variant, universe=universe, sequence=sequence,
-        allocation=alloc, view=view, bottlenecks=bottlenecks,
-        sinf_start=q + len(rationed), declared_fmin=q)
+        allocation=alloc, view=view, sinf_start=q + len(rationed))
     offline_alloc = pairing_offline(transcript)
     offline = count_covers(offline_alloc, sequence, universe)
     if offline < q // 2:
@@ -405,10 +350,10 @@ def transcript_to_text(t: AdversaryTranscript) -> str:
     lines = [
         f"q {t.q}",
         f"variant {t.variant}",
-        f"fmin {t.declared_fmin}",
+        f"fmin {t.q}",
         "classes " + "|".join(
             ",".join(str(p) for p in cls) for cls in t.view.classes),
-        "bottlenecks " + ",".join(str(b) for b in t.bottlenecks.elements),
+        "bottlenecks " + ",".join(str(b) for b in t.view.bottlenecks),
     ]
     if t.view.split is None:
         lines.append("split none")
@@ -423,4 +368,4 @@ def transcript_to_text(t: AdversaryTranscript) -> str:
         str(p) for p in t.allocation.partition_of))
     lines.append("instance")
     header = "\n".join(lines) + "\n"
-    return header + format_instance(t.universe, t.sequence, t.declared_fmin)
+    return header + format_instance(t.universe, t.sequence, t.q)

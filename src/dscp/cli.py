@@ -11,9 +11,9 @@ Line protocol (child process stdio, one token group per line):
 
 The driver never sends the next SUBSET before reading the previous ASSIGN,
 so irrevocability is enforced on the wire.  Any malformed reply, a reply
-after END, a timeout (default 10 s per move) or a mid-game child exit is a
-protocol violation; the run is scored as zero covers and the process exits
-with status 2.
+after END, a timeout (default 10 s per move, the send included) or a
+mid-game child exit is a protocol violation; the run is scored as zero
+covers and the process exits with status 2.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ExperimentConfig:
         if self.k < 1:
             raise ValueError("target fmin must be at least 1")
         for name in self.algorithms:
-            if name not in ("greedy", "randcolour", "polyon"):
+            if name not in ALGORITHMS or name == "external":
                 raise ValueError(f"unknown experiment algorithm {name!r}")
 
 
@@ -264,12 +264,17 @@ class ExternalAlgorithm(OnlineAlgorithm):
         self._proc = subprocess.Popen(
             self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             bufsize=0)
-        self._send(f"INIT {universe.n} {fmin}")
+        # writes go through select too, so a child that stops reading
+        # cannot block the driver past its deadline
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._send(f"INIT {universe.n} {fmin}",
+                   time.monotonic() + self.timeout)
 
     def assign(self, subset: Subset) -> int:
+        deadline = time.monotonic() + self.timeout
         words = ["SUBSET"] + [str(i) for i in subset.members]
-        self._send(" ".join(words))
-        line = self._read_line()
+        self._send(" ".join(words), deadline)
+        line = self._read_line(deadline)
         parts = line.split()
         if len(parts) != 2 or parts[0] != "ASSIGN":
             raise self._violation(f"expected 'ASSIGN <pid>', got {line!r}")
@@ -287,7 +292,7 @@ class ExternalAlgorithm(OnlineAlgorithm):
         # exiting right after the final reply is legal; END is best effort
         # once every subset has been answered
         with contextlib.suppress(ProtocolViolationError):
-            self._send("END")
+            self._send("END", time.monotonic() + self.timeout)
         leftover = self._drain()
         self.close()
         if leftover.strip():
@@ -314,26 +319,28 @@ class ExternalAlgorithm(OnlineAlgorithm):
         self.close()
         return ProtocolViolationError(message)
 
-    def _send(self, line: str) -> None:
+    def _send(self, line: str, deadline: float) -> None:
         if self._proc is None:
             raise RuntimeError("external algorithm not initialized")
-        try:
-            self._proc.stdin.write((line + "\n").encode("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise self._violation(f"child stopped reading: {exc}") from None
+        fd = self._proc.stdin.fileno()
+        data = (line + "\n").encode("utf-8")
+        while data:
+            try:
+                data = data[os.write(fd, data):]
+            except BlockingIOError:
+                if not _ready(fd, True, deadline):
+                    raise self._violation(
+                        f"input not read within {self.timeout} s") from None
+            except OSError as exc:
+                raise self._violation(
+                    f"child stopped reading: {exc}") from None
 
-    def _read_line(self) -> str:
+    def _read_line(self, deadline: float) -> str:
         if self._proc is None:
             raise RuntimeError("external algorithm not initialized")
         fd = self._proc.stdout.fileno()
-        deadline = time.monotonic() + self.timeout
         while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise self._violation(
-                    f"no reply within {self.timeout} s")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
+            if not _ready(fd, False, deadline):
                 raise self._violation(
                     f"no reply within {self.timeout} s")
             chunk = os.read(fd, 4096)
@@ -350,21 +357,21 @@ class ExternalAlgorithm(OnlineAlgorithm):
             return out
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + min(self.timeout, 0.5)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                ready, _, _ = select.select([fd], [], [], remaining)
-            except (OSError, ValueError):
-                break
-            if not ready:
-                break
+        while _ready(fd, False, deadline):
             chunk = os.read(fd, 4096)
             if not chunk:
                 break
             out += chunk
         return out
+
+
+def _ready(fd: int, write: bool, deadline: float) -> bool:
+    """Wait until ``fd`` can be written (or read); False at ``deadline``."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return False
+    waits = ([], [fd]) if write else ([fd], [])
+    return any(select.select(*waits, [], remaining)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -581,26 +588,25 @@ def build_parser() -> _Parser:
     o_po.add_argument("--colors", type=int, default=None)
     o_po.set_defaults(func=cmd_offline_polyoff)
 
-    p_on = sub.add_parser("online", help="stream an instance through an "
-                                         "online algorithm")
+    algo_opts = _Parser(add_help=False)
+    algo_opts.add_argument("--algo", choices=ALGORITHMS, required=True)
+    algo_opts.add_argument("--seed", type=int, default=0)
+    algo_opts.add_argument("--colors", type=int, default=None)
+    algo_opts.add_argument("--cmd", help="external child command line")
+    algo_opts.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+
+    p_on = sub.add_parser("online", parents=[algo_opts],
+                          help="stream an instance through an online "
+                               "algorithm")
     p_on.add_argument("instance", nargs="?")
-    p_on.add_argument("--algo", choices=ALGORITHMS, required=True)
     p_on.add_argument("--fmin", type=int, default=None,
                       help="override the declared minimum frequency")
-    p_on.add_argument("--seed", type=int, default=0)
-    p_on.add_argument("--colors", type=int, default=None)
-    p_on.add_argument("--cmd", help="external child command line")
-    p_on.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p_on.set_defaults(func=cmd_online)
 
-    p_adv = sub.add_parser("adversary", help="play the lower-bound game")
+    p_adv = sub.add_parser("adversary", parents=[algo_opts],
+                           help="play the lower-bound game")
     p_adv.add_argument("--q", type=int, required=True)
     p_adv.add_argument("--variant", choices=VARIANTS, required=True)
-    p_adv.add_argument("--algo", choices=ALGORITHMS, required=True)
-    p_adv.add_argument("--seed", type=int, default=0)
-    p_adv.add_argument("--colors", type=int, default=None)
-    p_adv.add_argument("--cmd", help="external child command line")
-    p_adv.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p_adv.add_argument("--save", help="write the transcript here")
     p_adv.set_defaults(func=cmd_adversary)
 

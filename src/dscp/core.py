@@ -120,10 +120,6 @@ class Allocation:
             out.setdefault(pid, []).append(j)
         return dict(sorted(out.items()))
 
-    def sizes(self) -> dict[int, int]:
-        """Map partition id -> number of subsets in it."""
-        return {pid: len(idx) for pid, idx in self.groups().items()}
-
 
 @dataclass(frozen=True)
 class HypergraphView:

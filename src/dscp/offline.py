@@ -117,10 +117,6 @@ class ExpectationTracker:
         self._expectation = self.recompute()
 
     @property
-    def num_edges(self) -> int:
-        return len(self._left)
-
-    @property
     def expectation(self) -> float:
         return self._expectation
 
@@ -362,7 +358,7 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
         if len(s) == 1:
             available.setdefault(s.members[0], []).append(j)
 
-    bottlenecks = set(transcript.bottlenecks.elements)
+    bottlenecks = set(transcript.view.bottlenecks)
     partition_of = [0] * len(seq)
     for pid, (x, y) in enumerate(pairs):
         partition_of[x] = pid

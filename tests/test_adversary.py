@@ -9,8 +9,6 @@ import pytest
 
 from dscp.adversary import (
     MAX_BOUND_Q,
-    BitUniverse,
-    BottleneckSet,
     ScomAllocationView,
     SplitRecord,
     bound_sa,
@@ -92,17 +90,6 @@ def matching_oracle(sizes):
 # universe and opening subsets
 # ---------------------------------------------------------------------------
 
-def test_bit_universe():
-    bu = BitUniverse(3)
-    assert bu.n == 8
-    assert bu.universe == Universe(8)
-    assert bu.bit(6, 0) == 0
-    assert bu.bit(6, 1) == 1
-    assert bu.bit(6, 2) == 1
-    with pytest.raises(ValueError):
-        BitUniverse(0)
-
-
 def test_gen_scom_frozen():
     assert gen_scom(2) == [Subset((1, 3)), Subset((2, 3))]
     assert gen_scom(3) == [
@@ -163,8 +150,7 @@ def test_gen_theorem2_errors():
 def test_view_validation():
     view = ScomAllocationView(3, ((0,), (1, 2)))
     assert view.sizes == (1, 2)
-    assert view.max_size == 2
-    assert view.class_counts() == {1: 1, 2: 1}
+    assert view.bottlenecks == (6, 1)
     with pytest.raises(ValueError):
         ScomAllocationView(2, ((0, 1), ()))
     with pytest.raises(ValueError):
@@ -176,26 +162,24 @@ def test_view_validation():
 
 
 def test_derive_structure_no_split():
-    view, bones = derive_structure(Allocation((0, 1, 1)), 3)
+    view = derive_structure(Allocation((0, 1, 1)), 3)
     assert view.classes == ((0,), (1, 2))
     assert view.split is None
-    assert bones.elements == (6, 1)
-    assert bones.as_set() == {1, 6}
-    assert bones.non_bottlenecks() == [0, 2, 3, 4, 5, 7]
+    assert view.bottlenecks == (6, 1)
 
 
 def test_derive_structure_two_singletons():
-    view, bones = derive_structure(Allocation((0, 1)), 2)
+    view = derive_structure(Allocation((0, 1)), 2)
     assert view.classes == ((0,), (1,))
     assert view.split is None
-    assert bones.elements == (2, 1)
+    assert view.bottlenecks == (2, 1)
 
 
 def test_derive_structure_splits_oversized():
-    view, bones = derive_structure(Allocation((0, 0, 0, 0)), 4)
+    view = derive_structure(Allocation((0, 0, 0, 0)), 4)
     assert view.split == SplitRecord(0, (0, 1), (2, 3))
     assert view.classes == ((0, 1), (2, 3))
-    assert bones.elements == (12, 3)
+    assert view.bottlenecks == (12, 3)
 
 
 def test_derive_structure_wrong_size():
@@ -208,9 +192,9 @@ def test_bottleneck_zeros_match_class():
     for _ in range(50):
         q = rng.randint(2, 8)
         alloc = Allocation(tuple(rng.randrange(q) for _ in range(q)))
-        view, bones = derive_structure(alloc, q)
-        assert len(set(bones.elements)) == len(view.classes)
-        for cls, b in zip(view.classes, bones.elements):
+        view = derive_structure(alloc, q)
+        assert len(set(view.bottlenecks)) == len(view.classes)
+        for cls, b in zip(view.classes, view.bottlenecks):
             zeros = {k for k in range(q) if not (b >> k) & 1}
             assert zeros == set(cls)
 
@@ -220,33 +204,30 @@ def test_bottleneck_zeros_match_class():
 # ---------------------------------------------------------------------------
 
 def test_gen_tail_frozen_sa():
-    structure = derive_structure(Allocation((0, 1, 1)), 3)
-    tail = gen_tail(structure, 3, "sa")
-    assert tail[:3] == [Subset((6,)), Subset((1,)), Subset((1,))]
-    filler = tail[3:]
+    view = derive_structure(Allocation((0, 1, 1)), 3)
+    rationed, filler = gen_tail(view, "sa")
+    assert rationed == [Subset((6,)), Subset((1,)), Subset((1,))]
     assert filler == [Subset((e,))
                       for e in (0, 2, 3, 4, 5, 7) for _ in range(3)]
 
 
 def test_gen_tail_frozen_sb():
-    structure = derive_structure(Allocation((0, 1, 1)), 3)
-    tail = gen_tail(structure, 3, "sb")
-    assert tail[:2] == [Subset((1, 6)), Subset((1,))]
-    assert tail[2:] == [Subset((e,))
-                        for e in (0, 2, 3, 4, 5, 7) for _ in range(3)]
+    view = derive_structure(Allocation((0, 1, 1)), 3)
+    rationed, filler = gen_tail(view, "sb")
+    assert rationed == [Subset((1, 6)), Subset((1,))]
+    assert filler == [Subset((e,))
+                      for e in (0, 2, 3, 4, 5, 7) for _ in range(3)]
 
 
 def test_gen_tail_accepts_uppercase_variant():
-    structure = derive_structure(Allocation((0, 1)), 2)
-    assert gen_tail(structure, 2, "SA") == gen_tail(structure, 2, "sa")
+    view = derive_structure(Allocation((0, 1)), 2)
+    assert gen_tail(view, "SA") == gen_tail(view, "sa")
 
 
-def test_gen_tail_rejects_wrong_q():
-    structure = derive_structure(Allocation((0, 1)), 2)
+def test_gen_tail_rejects_bad_variant():
+    view = derive_structure(Allocation((0, 1)), 2)
     with pytest.raises(ValueError):
-        gen_tail(structure, 3, "sa")
-    with pytest.raises(ValueError):
-        gen_tail(structure, 2, "sc")
+        gen_tail(view, "sc")
 
 
 def test_tail_scarcity_laws():
@@ -254,23 +235,22 @@ def test_tail_scarcity_laws():
     for _ in range(40):
         q = rng.randint(2, 7)
         alloc = Allocation(tuple(rng.randrange(q) for _ in range(q)))
-        structure = derive_structure(alloc, q)
-        view, bones = structure
+        view = derive_structure(alloc, q)
         opening = gen_scom(q)
         for variant in ("sa", "sb"):
-            tail = gen_tail(structure, q, variant)
-            seq = opening + tail
+            rationed, filler = gen_tail(view, variant)
+            seq = opening + rationed + filler
             table = frequencies(seq, Universe(1 << q))
             # the declared fmin of a full game sequence is exactly q ...
             assert table.fmin == q
             # ... and the bottlenecks are the scarce elements sitting at it
             tally = Counter(e for s in seq for e in s)
-            for cls, b in zip(view.classes, bones.elements):
+            for b in view.bottlenecks:
                 assert tally[b] == q
-            # every bottleneck copy is rationed before the singleton filler
-            n_rationed = len(tail) - q * len(bones.non_bottlenecks())
-            for s in tail[n_rationed:]:
-                assert len(s) == 1 and s.members[0] not in bones.as_set()
+            # every bottleneck copy is rationed, none is in the filler
+            assert len(filler) == q * ((1 << q) - len(view.bottlenecks))
+            for s in filler:
+                assert len(s) == 1 and s.members[0] not in view.bottlenecks
 
 
 def test_cross_class_pair_covers_all_bottlenecks():
@@ -278,13 +258,13 @@ def test_cross_class_pair_covers_all_bottlenecks():
     for _ in range(40):
         q = rng.randint(2, 8)
         alloc = Allocation(tuple(rng.randrange(q) for _ in range(q)))
-        view, bones = derive_structure(alloc, q)
+        view = derive_structure(alloc, q)
         opening = gen_scom(q)
         unions = [set().union(*(opening[p].members for p in cls))
                   for cls in view.classes]
         for i in range(len(unions)):
             for j in range(i + 1, len(unions)):
-                assert bones.as_set() <= unions[i] | unions[j]
+                assert set(view.bottlenecks) <= unions[i] | unions[j]
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +342,9 @@ def test_play_game_greedy_frozen():
     assert res.ratio_lower == 2.0
     t = res.transcript
     assert t.q == 4 and t.variant == "sb"
-    assert t.declared_fmin == 4
     assert t.allocation.partition_of[:4] == (0, 0, 0, 0)
     assert t.view.split == SplitRecord(0, (0, 1), (2, 3))
-    assert t.bottlenecks.elements == (12, 3)
+    assert t.view.bottlenecks == (12, 3)
     assert t.sinf_start == 6
     assert len(t.sequence) == 6 + 4 * 14
 
@@ -400,6 +379,41 @@ def test_play_game_polyon_allocation_pinned(q, arrivals, digest):
     assert len(partition_of) == arrivals
     assert hashlib.sha256(",".join(map(str, partition_of)).encode()
                           ).hexdigest() == digest
+
+
+_SCORES = {
+    6: "07c4026706e89dccac6aba33ad8e0a8b3a4069c7f0bcf675e25c819e42ad8959",
+    9: "ad67a89f17aa2e7aacc10dc577c395a3399898c60ead53c0380113d59d4bfd50",
+}
+
+
+@pytest.mark.parametrize("algo, q, variant, digest", [
+    ("greedy", 6, "sa",
+     "37a45e1619d265c5aecc8c7a1ccd194465b75210453ed46777fc4c6ad684dfa6"),
+    ("greedy", 6, "sb",
+     "75c32d0b1e740dbf7902a59cb4a0d236a81d06a6caa9de05f4d0722f2d15d9b9"),
+    ("greedy", 9, "sa",
+     "85a34eb0e9f800701108c92cc8997e594bf19e8474dcaa790d0753058adac2a4"),
+    ("greedy", 9, "sb",
+     "f12a47e871537c5d4380076b8bed5e8cad217a04e871226cdc7b0db3a571aa21"),
+    ("polyon", 6, "sa",
+     "33eca26fc8824493408988a61e4c0fb6b4e8578394f54b6f814fcc143c035ead"),
+    ("polyon", 6, "sb",
+     "35b8a0c94f1a5bf135d3c8631db4b2d6126af901ba1302390b84825b2824d566"),
+    ("polyon", 9, "sa",
+     "1ad43cdc2323130c2dd0a2c41411e480723b009baa905b0bddf1fb710b474c8f"),
+    ("polyon", 9, "sb",
+     "8c390c28011a494335d5908cef83b8a53a709fba2e012c93fdb1db0907d2d8ea"),
+])
+def test_play_game_serialization_pinned(algo, q, variant, digest):
+    # sha256 of the saved transcript and of the scores line
+    game = play_game(GreedyCover() if algo == "greedy" else PolyOn(), q,
+                     variant)
+    text = transcript_to_text(game.transcript)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    scores = (f"{game.t_online} {game.bound} {game.split} {game.offline} "
+              f"{game.ratio_lower!r}")
+    assert hashlib.sha256(scores.encode()).hexdigest() == _SCORES[q]
 
 
 def test_play_game_offline_covers_verify():

@@ -10,6 +10,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -322,6 +323,21 @@ def test_external_timeout():
     algo = ExternalAlgorithm(child(code), timeout=0.3)
     with pytest.raises(ProtocolViolationError, match="no reply within"):
         run_online(algo, [Subset((0,))], Universe(1), 1)
+
+
+def test_external_write_timeout():
+    # the child never reads stdin, and the SUBSET line (over 64 KiB) does not
+    # fit in the pipe buffer: the write must give up at the move deadline
+    algo = ExternalAlgorithm(child("import time; time.sleep(5)"),
+                             timeout=0.5)
+    start = time.monotonic()
+    try:
+        algo.init(Universe(30000), 1)
+        with pytest.raises(ProtocolViolationError, match="not read within"):
+            algo.assign(Subset(tuple(range(30000))))
+        assert time.monotonic() - start < 3.0
+    finally:
+        algo.close()
 
 
 # ---------------------------------------------------------------------------

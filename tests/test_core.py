@@ -61,7 +61,6 @@ def test_allocation_groups_and_sizes():
     alloc = Allocation((1, 0, 1, 3))
     assert alloc.num_subsets == 4
     assert alloc.groups() == {0: [1], 1: [0, 2], 3: [3]}
-    assert alloc.sizes() == {0: 1, 1: 2, 3: 1}
     with pytest.raises(ValueError):
         Allocation((0, -1))
 

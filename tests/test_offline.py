@@ -92,7 +92,6 @@ def test_tracker_initial_expectation():
     t = ExpectationTracker(3, [12] * 16)
     want = 16 * 3 * (2 / 3) ** 12
     assert abs(t.expectation - want) < 1e-12
-    assert t.num_edges == 16
 
 
 def test_tracker_two_color_toy():
