@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .core import (
@@ -27,6 +28,8 @@ from .offline import pairing_offline
 from .online import OnlineAlgorithm, assign_all
 
 MAX_BOUND_Q = 40
+# a q=18 game peaks near 340 MiB, and memory doubles with each step of q
+MAX_GAME_Q = 20
 
 VARIANTS = ("sa", "sb")
 
@@ -44,9 +47,14 @@ def gen_scom(q: int) -> list[Subset]:
     Each has size 2^(q-1); element 0 appears in none of them, so the opening
     sequence alone has minimum frequency zero.
     """
+    if q > MAX_GAME_Q:
+        raise ValueError(f"q must be at most {MAX_GAME_Q}")
     n = 1 << q
-    return [Subset(tuple(i for i in range(n) if (i >> j) & 1))
-            for j in range(q)]
+    # slices of one list: every subset shares the same int per element
+    ids = list(range(n))
+    return [Subset(tuple(chain.from_iterable(
+        ids[lo:lo + (1 << j)] for lo in range(1 << j, n, 2 << j))))
+        for j in range(q)]
 
 
 def gen_theorem2(n: int, m: int, variant: int) -> list[Subset]:
@@ -306,8 +314,8 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
     a split occurred), and the pairing rearrangement always reaches
     floor(q/2) covers.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    if not 2 <= q <= MAX_GAME_Q:
+        raise ValueError(f"q must be in 2..{MAX_GAME_Q}")
     variant = _norm_variant(variant)
     universe = Universe(1 << q)
     opening = gen_scom(q)

@@ -294,12 +294,13 @@ class ExternalAlgorithm(OnlineAlgorithm):
         with contextlib.suppress(ProtocolViolationError):
             self._send("END", time.monotonic() + self.timeout)
         leftover = self._drain()
-        self.close()
+        self.close(grace=1.0)
         if leftover.strip():
             raise ProtocolViolationError(
                 f"output after the last reply: {leftover[:200]!r}")
 
-    def close(self) -> None:
+    def close(self, grace: float = 0.0) -> None:
+        """Close the pipes; kill the child unless it exits within ``grace``."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -310,7 +311,7 @@ class ExternalAlgorithm(OnlineAlgorithm):
                 except OSError:
                     pass
         try:
-            proc.wait(timeout=1.0)
+            proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

@@ -105,9 +105,9 @@ class Allocation:
     partition_of: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for pid in self.partition_of:
-            if pid < 0:
-                raise ValueError(f"negative partition id {pid}")
+        if min(self.partition_of, default=0) < 0:
+            pid = next(p for p in self.partition_of if p < 0)
+            raise ValueError(f"negative partition id {pid}")
 
     @property
     def num_subsets(self) -> int:
@@ -176,23 +176,33 @@ def count_covers(alloc: Allocation, subsets: SubsetSequence,
     """Number of partitions of ``alloc`` whose union covers the universe."""
     if alloc.num_subsets != len(subsets):
         raise ValueError("allocation and sequence length differ")
-    unions: dict[int, set[int]] = {}
+    n = universe.n
+    ids = alloc.partition_of
+    # a flag byte per element and partition while the flags fit in 64 bytes
+    # per subset; past that (fresh ids over a large universe) a dict each
+    room = 64 * len(ids) // n
+    seen: dict[int, bytearray | dict[int, int]] = {}
     last = None
-    # allocations come in runs of one id: look up a set once per run
-    for pid, s in zip(alloc.partition_of, subsets):
-        if pid != last:
-            got = unions.get(pid)
-            if got is None:
-                got = unions[pid] = set()
-            update = got.update
-            last = pid
-        update(s.members)
-    covers = 0
-    for got in unions.values():
-        if got and (min(got) < 0 or max(got) >= universe.n):
-            raise MalformedInstanceError("subset element outside universe")
-        if len(got) == universe.n:
-            covers += 1
+    try:
+        # allocations come in runs of one id: look up its flags once per run
+        for pid, s in zip(ids, subsets):
+            if pid != last:
+                got = seen.get(pid)
+                if got is None:
+                    got = seen[pid] = bytearray(n) if len(seen) < room else {}
+                last = pid
+            for i in s.members:
+                if i < 0:  # a bytearray index would wrap around
+                    raise IndexError
+                got[i] = 1
+        covers = 0
+        for f in seen.values():
+            if type(f) is dict and max(f, default=0) >= n:
+                raise IndexError
+            covers += 0 not in f if type(f) is bytearray else len(f) == n
+    except IndexError:
+        raise MalformedInstanceError(
+            "subset element outside universe") from None
     return covers
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
@@ -328,6 +329,11 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     universe is filled with tail singletons.  Everything left over joins the
     first pair's partition, so the result has exactly floor(q/2) partitions,
     each a cover by construction (``play_game`` recounts them).
+
+    The tail must be laid out as ``gen_tail`` writes it: from ``sinf_start``
+    on, q copies of each non-bottleneck singleton in ascending order.  A
+    position that does not hold the singleton this layout expects raises
+    ``TranscriptError``.
     """
     q = transcript.q
     n = transcript.universe.n
@@ -351,28 +357,31 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
             f"only {len(pairs)} cross-class pairs for q={q}")
     pairs = pairs[: q // 2]
 
-    # singleton inventory from the tail
-    available: dict[int, list[int]] = {}
-    for j in range(transcript.sinf_start, len(seq)):
-        s = seq[j]
-        if len(s) == 1:
-            available.setdefault(s.members[0], []).append(j)
-
-    bottlenecks = set(transcript.view.bottlenecks)
+    bottlenecks = sorted(transcript.view.bottlenecks)
+    start = transcript.sinf_start
+    used = bytearray(n)
     partition_of = [0] * len(seq)
     for pid, (x, y) in enumerate(pairs):
         partition_of[x] = pid
         partition_of[y] = pid
-        for e in range(n):
-            if (e >> x) & 1 or (e >> y) & 1:
-                continue
-            # element invisible to both openers; bottlenecks never are
-            if e in bottlenecks:
-                raise TranscriptError(
-                    f"bottleneck {e} missing from pair ({x}, {y})")
-            stock = available.get(e)
-            if not stock:
+        # the elements with bits x and y clear, ascending: invisible to both
+        # openers, so each needs a singleton
+        free = (n - 1) & ~(1 << x | 1 << y)
+        skip = ~free
+        e = 0
+        while True:
+            # e's q copies follow those of the e - below smaller filler
+            # elements, and the k-th pair that needs e takes the k-th from
+            # the back; a bottleneck has no copies and fails the check
+            below = bisect_left(bottlenecks, e)
+            k = used[e]
+            used[e] = k + 1
+            j = start + q * (e - below) + q - 1 - k
+            if j >= len(seq) or seq[j].members != (e,):
                 raise TranscriptError(
                     f"ran out of {{{e}}} singletons while pairing")
-            partition_of[stock.pop()] = pid
+            partition_of[j] = pid
+            e = ((e | skip) + 1) & free
+            if not e:
+                break
     return Allocation(tuple(partition_of))

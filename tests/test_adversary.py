@@ -9,6 +9,7 @@ import pytest
 
 from dscp.adversary import (
     MAX_BOUND_Q,
+    MAX_GAME_Q,
     ScomAllocationView,
     SplitRecord,
     bound_sa,
@@ -429,6 +430,29 @@ def test_play_game_offline_covers_verify():
 def test_play_game_rejects_tiny_q():
     with pytest.raises(ValueError):
         play_game(GreedyCover(), 1, "sa")
+
+
+def test_game_q_is_capped():
+    # rejected before anything is allocated: q=21 would build 21 subsets
+    # of 2^20 ids
+    with pytest.raises(ValueError, match="at most 20"):
+        gen_scom(MAX_GAME_Q + 1)
+    with pytest.raises(ValueError, match=r"2\.\.20"):
+        play_game(GreedyCover(), MAX_GAME_Q + 1, "sb")
+
+
+def test_play_game_memory_bound():
+    # scoring keeps no per-arrival side structures (a singleton inventory,
+    # a set per partition), so the heap stays near the sequence's own size
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        play_game(GreedyCover(), 12, "sb")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
 
 
 @pytest.mark.parametrize("bad,fragment", [

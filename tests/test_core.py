@@ -112,6 +112,46 @@ def test_count_covers_demo():
         count_covers(Allocation((0, 0, 1)), [*full, Subset((4,))], U4)
 
 
+def test_count_covers_rejects_out_of_range():
+    full = Subset(tuple(range(4)))
+    for bad in (Subset((-1,)), Subset((4,))):
+        with pytest.raises(MalformedInstanceError):
+            count_covers(Allocation((0,)), [bad], U4)
+        # also inside a partition that covers without it
+        with pytest.raises(MalformedInstanceError):
+            count_covers(Allocation((0, 0, 1)), [full, bad, full], U4)
+
+
+def test_count_covers_fresh_ids_stay_small():
+    # a fresh id per subset over a large universe: a flag byte per element
+    # and partition would take 50 MB here
+    import tracemalloc
+
+    n, m = 1_000_000, 50
+    seq = [Subset((i, n - 1)) for i in range(m)]
+    tracemalloc.start()
+    try:
+        assert count_covers(Allocation(tuple(range(m))), seq,
+                            Universe(n)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_count_covers_flags_and_dicts_agree():
+    # n=100 over 10 subsets leaves room for 6 flag arrays: ids 0..5 get
+    # flags, the rest dicts
+    u = Universe(100)
+    full = Subset(tuple(range(100)))
+    ids = tuple(range(8)) + (0, 7)
+    seq = [Subset((i,)) for i in range(8)] + [full, full]
+    assert count_covers(Allocation(ids), seq, u) == 2
+    for bad in (Subset((-1,)), Subset((100,))):
+        with pytest.raises(MalformedInstanceError):
+            count_covers(Allocation(ids), seq[:7] + [bad] + seq[8:], u)
+
+
 def test_count_covers_length_mismatch():
     with pytest.raises(ValueError):
         count_covers(Allocation((0,)), DEMO, U4)

@@ -31,7 +31,7 @@ from dscp.offline import (
     pairing_offline,
     polyoff,
 )
-from dscp.online import OnlineAlgorithm
+from dscp.online import GreedyCover, OnlineAlgorithm, PolyOn
 
 U4 = Universe(4)
 DEMO = [Subset((0, 1, 3)), Subset((1, 2)), Subset((0, 2))]
@@ -420,3 +420,69 @@ def test_pairing_detects_missing_singletons():
         sequence=game.transcript.sequence[:game.transcript.sinf_start])
     with pytest.raises(TranscriptError):
         pairing_offline(starved)
+
+
+PAIRING_PINS = {
+    (6, "sa"):
+        "3f7f2ba83f103af416c1ea8e872c9a871dcce93bd9e4b40743ecf6e5ee962680",
+    (6, "sb"):
+        "3f7f2ba83f103af416c1ea8e872c9a871dcce93bd9e4b40743ecf6e5ee962680",
+    (9, "sa"):
+        "b60b6c1726ef666a0aa4ae15203ed4e00c7c91263d4b65e6217c3e4e5a7408f6",
+    (9, "sb"):
+        "bc63a743fc7f51bf41efd8788dfa22884572d07bf63cf96e5c7ed0a47197586c",
+    (12, "sa"):
+        "9170375fe45cbbd76a1898ef4bdf7bb92ada2b0c1d984ba059c81b9e065741c6",
+    (12, "sb"):
+        "9170375fe45cbbd76a1898ef4bdf7bb92ada2b0c1d984ba059c81b9e065741c6",
+}
+
+
+def alloc_digest(alloc):
+    return hashlib.sha256(
+        ",".join(map(str, alloc.partition_of)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q,variant", sorted(PAIRING_PINS))
+@pytest.mark.parametrize("algo", [GreedyCover, PolyOn])
+def test_pairing_allocation_pinned(q, variant, algo):
+    # both algorithms open with one partition, so they share the digest
+    game = play_game(algo(), q, variant)
+    assert alloc_digest(pairing_offline(game.transcript)) == \
+        PAIRING_PINS[q, variant]
+
+
+@pytest.mark.parametrize("opening,variant,digest", [
+    ((0, 0, 0, 1, 1, 2, 2, 3, 4), "sa",
+     "d62b97cdefb584161713185850cd69d98c961b74f4027adf7004a03be630f8bb"),
+    ((0, 0, 0, 1, 1, 2, 2, 3, 4), "sb",
+     "a857b841e7eb6633cee897b76a44f6be0dac5531da4ee3efb19fd19ef6ca24b6"),
+    ((0, 1, 2, 3, 4, 5) * 2, "sb",
+     "300996f16a5bf352371f15b48dfb5356e19f5fe0f2fb3f66dfa8d4112e3ac455"),
+    ((5,) * 7 + (1, 1, 2, 9, 9), "sa",
+     "18e18782c905590df080bedf374b65e30a13c77c34f81018a6f68f0e7f7239e1"),
+    ((5,) * 7 + (1, 1, 2, 9, 9), "sb",
+     "200b30bbeee68dce058916ed65e91ab2aa468b61026e9ce1ed822369f8877239"),
+])
+def test_pairing_allocation_pinned_scripted(opening, variant, digest):
+    game = play_game(Scripted(opening), len(opening), variant)
+    assert alloc_digest(pairing_offline(game.transcript)) == digest
+
+
+def test_pairing_rejects_displaced_singleton():
+    # the filler is read by its layout: a copy of a needed singleton that
+    # was replaced by another singleton is missing, even though spare
+    # copies of it remain elsewhere in the tail
+    game = play_game(Scripted([0, 1, 2, 3]), 4, "sb")
+    t = game.transcript
+    seq = list(t.sequence)
+    last = max(j for j, s in enumerate(seq) if s.members == (0,))
+    seq[last] = Subset((15,))
+    seq.append(Subset((0,)))
+    displaced = dataclasses.replace(
+        t, sequence=tuple(seq),
+        allocation=Allocation(t.allocation.partition_of + (0,)))
+    with pytest.raises(TranscriptError,
+                       match=r"ran out of \{0\} singletons"):
+        pairing_offline(displaced)
+
