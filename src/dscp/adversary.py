@@ -23,6 +23,7 @@ from .core import (
     Subset,
     Universe,
     count_covers,
+    format_instance,
 )
 from .offline import pairing_offline
 from .online import OnlineAlgorithm, assign_all
@@ -353,8 +354,6 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
 
 def transcript_to_text(t: AdversaryTranscript) -> str:
     """Serialize a transcript: key-value header, then the instance body."""
-    from .core import format_instance
-
     lines = [
         f"q {t.q}",
         f"variant {t.variant}",

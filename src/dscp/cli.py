@@ -46,6 +46,7 @@ from .adversary import (
     transcript_to_text,
 )
 from .core import (
+    MAX_CELLS,
     Allocation,
     Instance,
     Subset,
@@ -99,6 +100,8 @@ def random_instance(n: int, p: float, m: int, k: int,
         raise ValueError("p must be in (0, 1]")
     if m < 0:
         raise ValueError("m must be non-negative")
+    if m * n > MAX_CELLS:
+        raise ValueError(f"{m} x {n} draws exceed {MAX_CELLS} cells")
     rng = np.random.default_rng(seed)
     hits = rng.random((m, n)) < p
     subsets = [Subset(tuple(np.flatnonzero(row).tolist())) for row in hits]

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
+# the most cells a dense per-element array may hold (the tracker's n x colors
+# table, the random generator's m x n draw) before a run is refused
+MAX_CELLS = 1 << 24
+
+
 class MalformedInstanceError(ValueError):
     """An instance references elements outside its universe or cannot be
     parsed from text."""
@@ -33,13 +38,6 @@ class Universe:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("universe needs at least one element")
-
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
-    def __contains__(self, element: int) -> bool:
-        return 0 <= element < self.n
 
 
 @dataclass(frozen=True)
@@ -56,17 +54,11 @@ class Subset:
     def of(cls, ids: Iterable[int]) -> "Subset":
         return cls(tuple(sorted(set(ids))))
 
-    def __contains__(self, element: int) -> bool:
-        return element in self.members
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __bool__(self) -> bool:
-        return bool(self.members)
 
 
 _EMPTY = Subset()

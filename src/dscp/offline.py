@@ -17,6 +17,7 @@ from typing import Sequence, TYPE_CHECKING
 import numpy as np
 
 from .core import (
+    MAX_CELLS,
     Allocation,
     Coloring,
     SubsetSequence,
@@ -99,7 +100,6 @@ class ExpectationTracker:
         self._left = np.array(edge_sizes, dtype=np.int64)
         if self._left.ndim != 1 or (self._left < 0).any():
             raise ValueError("edge sizes must be non-negative")
-        m = int(self._left.max(initial=0))
         beta = 1.0 - 1.0 / num_colors
         # beta ** k for k = 0..max size, up to its first 0.0: every later
         # power is 0.0 too, so reads past the end are clamped to that entry
@@ -107,8 +107,11 @@ class ExpectationTracker:
         # drops below 2**-1075 (rounds to 0.0) once k > 745.2 / -ln(beta),
         # and -ln(beta) >= 1 / num_colors, so the first 0.0 comes before
         # 747 * num_colors; beta == 0.0 gives [1, 0].
-        pw = np.power(beta, np.arange(min(m, 747 * num_colors) + 1,
-                                      dtype=np.float64))
+        powers = min(int(self._left.max(initial=0)), 747 * num_colors) + 1
+        if max(len(self._left) * num_colors, powers) > MAX_CELLS:
+            raise ValueError(f"{num_colors} colors over {len(self._left)} "
+                             f"edges need over {MAX_CELLS} tracker cells")
+        pw = np.power(beta, np.arange(powers, dtype=np.float64))
         zeros = np.flatnonzero(pw == 0.0)
         self._pow = pw[:zeros[0] + 1] if zeros.size else pw
         self._present = np.zeros((len(self._left), num_colors), dtype=bool)

@@ -96,6 +96,8 @@ def test_random_instance_validation():
         random_instance(2, 0.5, -1, 1, 0)
     with pytest.raises(ValueError):
         random_instance(2, 0.5, 1, 0, 0)
+    with pytest.raises(ValueError, match="cells"):
+        random_instance(1 << 12, 0.5, (1 << 12) + 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +418,18 @@ def test_cli_online_greedy():
     assert lines[1] == "fmin 2"
     assert lines[2] == "covers 2"
     assert lines[3] == "allocation 0 0 1"
+
+
+@pytest.mark.parametrize("cmd", [("online", "--algo", "polyon"),
+                                 ("offline", "polyoff")])
+def test_cli_refuses_colors_past_max_cells(cmd):
+    # 2 edges x 2**24+1 colors: refused before the tracker table exists
+    start = time.monotonic()
+    proc = run_cli(*cmd, "--colors", str((1 << 24) + 1),
+                   stdin="n 2\nfmin 2\n0\n1\n0 1\n")
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 1
+    assert "tracker cells" in proc.stderr
 
 
 def test_cli_online_reports_underfull():

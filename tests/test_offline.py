@@ -125,6 +125,17 @@ def test_tracker_error_paths():
     assert ExpectationTracker(2, [1]).recolor(0, []) == 0
 
 
+def test_tracker_refuses_more_than_max_cells():
+    # checked before the n x colors table is allocated
+    with pytest.raises(ValueError, match="tracker cells"):
+        ExpectationTracker((1 << 24) + 1, [1])
+    with pytest.raises(ValueError, match="tracker cells"):
+        ExpectationTracker(1 << 23, [1, 1, 1])
+    with pytest.raises(ValueError, match="tracker cells"):  # power table
+        ExpectationTracker(30000, [1 << 25])
+    assert ExpectationTracker(1 << 24, [1]).expectation == (1 << 24) - 1
+
+
 def test_tracker_recolors_in_index_order():
     t = ExpectationTracker(2, [1, 3])
     t.recolor(0, [0])
