@@ -19,6 +19,7 @@ from itertools import chain
 from typing import Sequence
 
 from .core import (
+    MAX_CELLS,
     Allocation,
     Subset,
     Universe,
@@ -73,6 +74,9 @@ def gen_theorem2(n: int, m: int, variant: int) -> list[Subset]:
         raise ValueError("variant must be 1 or 2")
     if n < 2:
         raise ValueError("n must be at least 2")
+    # variant 2's complements take under n x n list cells, the stream m
+    if n * n + m > MAX_CELLS:
+        raise ValueError(f"n^2 + m = {n * n + m} exceeds {MAX_CELLS} cells")
     opening = [Subset((0, j)) for j in range(1, n)]
     if variant == 1:
         if m < n - 1:
@@ -141,20 +145,19 @@ def derive_structure(alloc: Allocation, q: int) -> ScomAllocationView:
 
     A partition holding more than ceil(q/2) positions would make
     cross-partition pairing impossible, so its positions are virtually
-    halved first (at most one partition can be that large).  Bottlenecks are
-    those of the post-split classes.
+    halved first (two such partitions would need q+2 positions, so at most
+    one is that large).  Bottlenecks are those of the post-split classes,
+    distinct because the classes are disjoint and non-empty.
     """
-    if alloc.num_subsets != q:
-        raise ValueError(f"allocation covers {alloc.num_subsets} subsets, "
-                         f"expected {q}")
+    if len(alloc.partition_of) != q:
+        raise ValueError(f"allocation covers {len(alloc.partition_of)} "
+                         f"subsets, expected {q}")
     groups = alloc.groups()
     classes: list[tuple[int, ...]] = []
     split: SplitRecord | None = None
     for pid, positions in groups.items():
         d = len(positions)
         if d > (q + 1) // 2:
-            if split is not None:
-                raise ValueError("two oversized partitions cannot coexist")
             left = tuple(positions[: d // 2])
             right = tuple(positions[d // 2:])
             split = SplitRecord(pid, left, right)
@@ -162,11 +165,7 @@ def derive_structure(alloc: Allocation, q: int) -> ScomAllocationView:
             classes.append(right)
         else:
             classes.append(tuple(positions))
-    view = ScomAllocationView(q, tuple(classes), split)
-    bones = view.bottlenecks
-    if len(set(bones)) != len(bones):
-        raise AssertionError("bottlenecks must be distinct")
-    return view
+    return ScomAllocationView(q, tuple(classes), split)
 
 
 def gen_tail(view: ScomAllocationView,
@@ -193,14 +192,6 @@ def gen_tail(view: ScomAllocationView,
         for k in range(1, top + 1):
             pool = [b for d, bs in by_size.items() if d >= k for b in bs]
             rationed.append(Subset.of(pool))
-
-    # ration check: every bottleneck appears exactly its class size times
-    tally = Counter(b for s in rationed for b in s.members)
-    for cls, b in zip(view.classes, bottlenecks):
-        if tally.get(b, 0) != len(cls):
-            raise AssertionError(
-                f"bottleneck {b} rationed {tally.get(b, 0)} times, "
-                f"expected {len(cls)}")
 
     # q copies of every non-bottleneck singleton: enough for floor(q/2)
     # offline covers and for every partition the algorithm may complete,
@@ -244,6 +235,10 @@ def _check_sizes(sizes: Sequence[int], q: int) -> None:
         raise ValueError(f"class sizes sum to {sum(sizes)}, expected {q}")
 
 
+# the structural bound of each tail variant
+BOUNDS = {"sa": bound_sa, "sb": bound_sb}
+
+
 def _partitions(total: int):
     """Integer partitions of ``total``, parts non-increasing."""
 
@@ -264,7 +259,7 @@ def max_bound(q: int, variant: str) -> tuple[int, tuple[int, ...]]:
     variant = _norm_variant(variant)
     if not 1 <= q <= MAX_BOUND_Q:
         raise ValueError(f"q must be in 1..{MAX_BOUND_Q}")
-    fn = bound_sa if variant == "sa" else bound_sb
+    fn = BOUNDS[variant]
     best = -1
     witness: tuple[int, ...] = ()
     for sizes in _partitions(q):
@@ -332,7 +327,7 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
     alloc = Allocation(tuple(log))
     t_online = count_covers(alloc, sequence, universe)
 
-    bound = (bound_sa if variant == "sa" else bound_sb)(view.sizes, q)
+    bound = BOUNDS[variant](view.sizes, q)
     allowance = 1 if view.split is not None else 0
     if t_online > bound + allowance:
         raise AssertionError(

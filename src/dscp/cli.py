@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import select
 import shlex
@@ -36,9 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import (
+    BOUNDS,
     VARIANTS,
-    bound_sa,
-    bound_sb,
     gen_scom,
     gen_theorem2,
     max_bound,
@@ -100,8 +100,9 @@ def random_instance(n: int, p: float, m: int, k: int,
         raise ValueError("p must be in (0, 1]")
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m * n > MAX_CELLS:
-        raise ValueError(f"{m} x {n} draws exceed {MAX_CELLS} cells")
+    # the m x n draw plus up to k singleton top-ups per element
+    if n * (m + k) > MAX_CELLS:
+        raise ValueError(f"{n} x ({m} + {k}) cells exceed {MAX_CELLS}")
     rng = np.random.default_rng(seed)
     hits = rng.random((m, n)) < p
     subsets = [Subset(tuple(np.flatnonzero(row).tolist())) for row in hits]
@@ -116,7 +117,7 @@ def random_instance(n: int, p: float, m: int, k: int,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One cell of the experiment grid."""
+    """One cell of the experiment grid; random_instance checks n, p, m, k."""
 
     n: int
     p: float
@@ -127,12 +128,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise ValueError("p must be in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.k < 1:
-            raise ValueError("target fmin must be at least 1")
         for name in self.algorithms:
             if name not in ALGORITHMS or name == "external":
                 raise ValueError(f"unknown experiment algorithm {name!r}")
@@ -249,14 +246,14 @@ class ProtocolViolationError(RuntimeError):
 class ExternalAlgorithm(OnlineAlgorithm):
     """Adapter driving a child process over the stdio line protocol."""
 
-    name = "external"
-
     def __init__(self, command: str | Sequence[str],
                  timeout: float = DEFAULT_TIMEOUT):
         if isinstance(command, str):
             command = shlex.split(command)
         if not command:
             raise ValueError("empty external command")
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be a positive, finite number")
         self.command = list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
@@ -519,9 +516,8 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    fn = bound_sa if args.variant == "sa" else bound_sb
     if args.sizes is not None:
-        print(f"bound {fn(args.sizes, args.q)}")
+        print(f"bound {BOUNDS[args.variant](args.sizes, args.q)}")
     else:
         value, witness = max_bound(args.q, args.variant)
         print(f"max_bound {value}")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-# the most cells a dense per-element array may hold (the tracker's n x colors
-# table, the random generator's m x n draw) before a run is refused
+# the most cells a dense per-element table or a generated stream may take (the
+# tracker's n x colors table, both generators) before a run is refused
 MAX_CELLS = 1 << 24
 
 
@@ -101,10 +101,6 @@ class Allocation:
             pid = next(p for p in self.partition_of if p < 0)
             raise ValueError(f"negative partition id {pid}")
 
-    @property
-    def num_subsets(self) -> int:
-        return len(self.partition_of)
-
     def groups(self) -> dict[int, list[int]]:
         """Map partition id -> subset indices, ids ascending."""
         out: dict[int, list[int]] = {}
@@ -166,7 +162,7 @@ def is_set_cover(subsets: Iterable[Subset], universe: Universe) -> bool:
 def count_covers(alloc: Allocation, subsets: SubsetSequence,
                  universe: Universe) -> int:
     """Number of partitions of ``alloc`` whose union covers the universe."""
-    if alloc.num_subsets != len(subsets):
+    if len(alloc.partition_of) != len(subsets):
         raise ValueError("allocation and sequence length differ")
     n = universe.n
     ids = alloc.partition_of

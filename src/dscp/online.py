@@ -38,8 +38,6 @@ class OnlineAlgorithm(ABC):
     last subset (only the external-process adapter needs it).
     """
 
-    name = "online"
-
     @abstractmethod
     def init(self, universe: Universe, fmin: int) -> None: ...
 
@@ -55,8 +53,6 @@ class GreedyCover(OnlineAlgorithm):
 
     Guarantees one cover whenever the whole stream is a cover, and that is
     all it can promise: it never risks an incomplete partition."""
-
-    name = "greedy"
 
     def init(self, universe: Universe, fmin: int) -> None:
         self._n = universe.n
@@ -75,8 +71,6 @@ class GreedyCover(OnlineAlgorithm):
 class RandColour(OnlineAlgorithm):
     """Assign each subset a uniformly random partition out of a fixed
     budget.  The budget defaults to max(1, floor(fmin / ln(n ln n)))."""
-
-    name = "randcolour"
 
     def __init__(self, seed: int = 0, num_colors: int | None = None):
         self.seed = seed
@@ -109,8 +103,6 @@ class PolyOn(OnlineAlgorithm):
     least num_colors - floor(n * num_colors * (1-1/num_colors)**fmin).
     """
 
-    name = "polyon"
-
     def __init__(self, num_colors: int | None = None,
                  probe: TrackerProbe | None = None):
         self._requested = num_colors
@@ -139,11 +131,6 @@ class OnlineRunResult:
     allocation: Allocation
     covers: int
     underfull: tuple[int, ...] = ()
-
-    @property
-    def log(self) -> tuple[int, ...]:
-        """Per-step partition ids; irrevocable, so the allocation itself."""
-        return self.allocation.partition_of
 
 
 def assign_all(algo: OnlineAlgorithm, subsets: SubsetSequence,

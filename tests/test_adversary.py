@@ -10,6 +10,7 @@ import pytest
 from dscp.adversary import (
     MAX_BOUND_Q,
     MAX_GAME_Q,
+    VARIANTS,
     ScomAllocationView,
     SplitRecord,
     bound_sa,
@@ -51,6 +52,28 @@ class Scripted(OnlineAlgorithm):
         i = self.step
         self.step += 1
         return self.opening[i] if i < len(self.opening) else self.default
+
+
+class FreshPartitions(OnlineAlgorithm):
+    """Openings to partition 0, a fresh partition per multi-element arrival,
+    and each singleton {e} to the lowest partition still missing e."""
+
+    def init(self, universe, fmin):
+        self.openings = fmin  # play_game declares fmin = q
+        self.held = [set()]
+
+    def assign(self, subset):
+        if self.openings:
+            self.openings -= 1
+            pid = 0
+        elif len(subset) > 1:
+            pid = len(self.held)
+            self.held.append(set())
+        else:
+            e = subset.members[0]
+            pid = next((p for p, h in enumerate(self.held) if e not in h), 0)
+        self.held[pid].update(subset.members)
+        return pid
 
 
 def all_partitions(total):
@@ -142,6 +165,15 @@ def test_gen_theorem2_errors():
         gen_theorem2(4, 2, 1)
     with pytest.raises(ValueError):
         gen_theorem2(4, 5, 2)
+
+
+def test_gen_theorem2_refuses_more_than_max_cells():
+    # refused before anything is built: variant 2 holds n-1 complements of
+    # n-2 ids, and variant 1 one list cell per arrival
+    with pytest.raises(ValueError, match="cells"):
+        gen_theorem2(4097, 8194, 2)
+    with pytest.raises(ValueError, match="cells"):
+        gen_theorem2(2, 1 << 24, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +389,22 @@ def test_play_game_scripted_own_partitions():
     assert res.split is False
     assert res.offline == 2
     assert res.transcript.sinf_start == 5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the structural bound does not count partitions "
+                          "opened in the tail")
+def test_play_game_fresh_partitions_within_bound():
+    # the fresh partitions close from the rationed bottlenecks and the q
+    # filler copies: q/2 + 1 covers against a bound of 2 + 1
+    broken = []
+    for q in (6, 8):
+        for variant in VARIANTS:
+            try:
+                play_game(FreshPartitions(), q, variant)
+            except AssertionError as exc:
+                broken.append((q, variant, str(exc)))
+    assert not broken, broken
 
 
 def test_play_game_polyon():

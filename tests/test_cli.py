@@ -7,7 +7,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -100,6 +102,14 @@ def test_random_instance_validation():
         random_instance(1 << 12, 0.5, (1 << 12) + 1, 1, 0)
 
 
+def test_random_instance_bounds_top_ups():
+    # the singleton top-ups take up to n x k cells whatever m is
+    with pytest.raises(ValueError, match="cells"):
+        random_instance(1, 1.0, 0, (1 << 24) + 1, 0)
+    with pytest.raises(ValueError, match="cells"):
+        random_instance((1 << 24) + 1, 0.5, 0, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # experiment harness
 # ---------------------------------------------------------------------------
@@ -107,12 +117,12 @@ def test_random_instance_validation():
 def test_experiment_config_validation():
     good = dict(n=4, p=0.5, m=3, k=1, trials=1, algorithms=("greedy",))
     ExperimentConfig(**good)
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "p": 0.0})
+    with pytest.raises(ValueError, match=r"p must be in \(0, 1\]"):
+        run_experiment(ExperimentConfig(**{**good, "p": 0.0}))
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "trials": 0})
-    with pytest.raises(ValueError):
-        ExperimentConfig(**{**good, "k": 0})
+    with pytest.raises(ValueError, match="target fmin must be at least 1"):
+        run_experiment(ExperimentConfig(**{**good, "k": 0}))
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "algorithms": ("external",)})
 
@@ -245,21 +255,21 @@ def test_external_round_robin():
     seq = [Subset((0,)), Subset((1,)), Subset((0, 1))] * 2
     algo = ExternalAlgorithm(child(ROUND_ROBIN))
     res = run_online(algo, seq, Universe(2), 2)
-    assert res.log == tuple(i % 3 for i in range(6))
+    assert res.allocation.partition_of == tuple(i % 3 for i in range(6))
 
 
 def test_external_receives_init():
     seq = [Subset((0,))] * 2
     algo = ExternalAlgorithm(child(INIT_SUM))
     res = run_online(algo, seq, Universe(4), 2, audit=False)
-    assert res.log == (6, 6)
+    assert res.allocation.partition_of == (6, 6)
 
 
 def test_external_subset_wire_format():
     seq = [Subset((0, 1)), Subset(()), Subset((1,))]
     algo = ExternalAlgorithm(child(SUBSET_LEN))
     res = run_online(algo, seq, Universe(2), 1, audit=False)
-    assert res.log == (2, 0, 1)
+    assert res.allocation.partition_of == (2, 0, 1)
 
 
 def test_external_command_string_is_shell_split():
@@ -297,7 +307,7 @@ for _ in range(3):
 """
     seq = [Subset((0,))] * 3
     res = run_online(ExternalAlgorithm(child(code)), seq, Universe(1), 3)
-    assert res.log == (0, 0, 0)
+    assert res.allocation.partition_of == (0, 0, 0)
     assert res.covers == 1
 
 
@@ -317,6 +327,13 @@ while True:
     algo = ExternalAlgorithm(child(code))
     with pytest.raises(ProtocolViolationError, match="after the last"):
         run_online(algo, [Subset((0,))], Universe(1), 1)
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+def test_external_timeout_must_be_positive_and_finite(timeout):
+    # refused in the constructor, before any child is started
+    with pytest.raises(ValueError, match="timeout"):
+        ExternalAlgorithm(child("pass"), timeout=timeout)
 
 
 def test_external_timeout():
@@ -359,6 +376,24 @@ def test_cli_game_q_cap(args):
     assert proc.returncode == 1
     assert "q must be" in proc.stderr
     assert time.monotonic() - start < 1.0
+
+
+def test_cli_gen_theorem2_refuses_more_than_max_cells():
+    start = time.monotonic()
+    proc = run_cli("gen", "theorem2", "--n", "4097", "--m", "8194",
+                   "--variant", "2")
+    assert proc.returncode == 1
+    assert "cells" in proc.stderr
+    assert time.monotonic() - start < 1.0
+
+
+def test_cli_external_refuses_negative_timeout():
+    # a usage error, not a protocol violation by the child
+    cmd = shlex.join(child(ROUND_ROBIN))
+    proc = run_cli("online", "--algo", "external", "--cmd", cmd,
+                   "--timeout", "-1", stdin="n 1\nfmin 1\n0\n")
+    assert proc.returncode == 1
+    assert "timeout must be" in proc.stderr
 
 
 def test_cli_gen_scom_round_trip():

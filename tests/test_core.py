@@ -56,7 +56,7 @@ def test_universe_validates():
 
 def test_allocation_groups_and_sizes():
     alloc = Allocation((1, 0, 1, 3))
-    assert alloc.num_subsets == 4
+    assert len(alloc.partition_of) == 4
     assert alloc.groups() == {0: [1], 1: [0, 2], 3: [3]}
     with pytest.raises(ValueError):
         Allocation((0, -1))

@@ -40,21 +40,21 @@ def instance_with_fmin(rng, n, m, want):
 def test_greedy_advances_after_each_cover():
     seq = [Subset((0,)), Subset((1,)), Subset((0, 1))]
     res = run_online(GreedyCover(), seq, Universe(2), 2)
-    assert res.log == (0, 0, 1)
+    assert res.allocation.partition_of == (0, 0, 1)
     assert res.covers == 2
 
 
 def test_greedy_never_covering():
     seq = [Subset((0,))] * 5
     res = run_online(GreedyCover(), seq, Universe(2), 1)
-    assert res.log == (0,) * 5
+    assert res.allocation.partition_of == (0,) * 5
     assert res.covers == 0
 
 
 def test_greedy_full_subsets():
     seq = [Subset(tuple(range(3)))] * 4
     res = run_online(GreedyCover(), seq, Universe(3), 4)
-    assert res.log == (0, 1, 2, 3)
+    assert res.allocation.partition_of == (0, 1, 2, 3)
     assert res.covers == 4
 
 
@@ -76,7 +76,7 @@ def test_greedy_one_cover_when_stream_covers(seed=0x6EE0):
 def test_randcolour_single_color():
     algo = RandColour(seed=5, num_colors=1)
     res = run_online(algo, DEMO, U4, 1)
-    assert res.log == (0, 0, 0)
+    assert res.allocation.partition_of == (0, 0, 0)
     assert res.covers == 1
 
 
@@ -85,8 +85,8 @@ def test_randcolour_deterministic_per_seed():
     a = run_online(RandColour(seed=11, num_colors=4), seq, Universe(2), 20)
     b = run_online(RandColour(seed=11, num_colors=4), seq, Universe(2), 20)
     c = run_online(RandColour(seed=12, num_colors=4), seq, Universe(2), 20)
-    assert a.log == b.log
-    assert a.log != c.log
+    assert a.allocation.partition_of == b.allocation.partition_of
+    assert a.allocation.partition_of != c.allocation.partition_of
 
 
 def test_randcolour_budgets():
@@ -119,7 +119,7 @@ def test_randcolour_mean_covers_meets_bound():
 
 def test_polyon_demo_degenerate_single_color():
     res = run_online(PolyOn(), DEMO, U4, 1)
-    assert res.log == (0, 0, 0)
+    assert res.allocation.partition_of == (0, 0, 0)
     assert res.covers == 1
 
 
@@ -131,7 +131,8 @@ def test_polyon_ids_stay_inside_budget():
         fmin = frequencies(seq, Universe(n)).fmin
         algo = PolyOn()
         res = run_online(algo, seq, Universe(n), fmin)
-        assert all(0 <= pid < algo.num_colors for pid in res.log)
+        assert all(0 <= pid < algo.num_colors
+                   for pid in res.allocation.partition_of)
 
 
 def test_polyon_is_deterministic():
@@ -139,7 +140,7 @@ def test_polyon_is_deterministic():
     seq = instance_with_fmin(rng, 8, 20, 2)
     a = run_online(PolyOn(), seq, Universe(8), 2)
     b = run_online(PolyOn(), seq, Universe(8), 2)
-    assert a.log == b.log
+    assert a.allocation.partition_of == b.allocation.partition_of
 
 
 def test_polyon_guarantee_on_honest_instances():
@@ -202,7 +203,7 @@ def test_run_online_rejects_bad_ids():
 def test_run_online_empty_sequence():
     res = run_online(GreedyCover(), [], U4, 1)
     assert res.covers == 0
-    assert res.allocation.num_subsets == 0
+    assert len(res.allocation.partition_of) == 0
 
 
 def test_covers_never_exceed_true_fmin():
@@ -225,4 +226,5 @@ def test_prefix_causality_all_algorithms():
         for make in (GreedyCover, lambda: RandColour(seed=9), PolyOn):
             full = run_online(make(), seq, Universe(n), 2, audit=False)
             head = run_online(make(), seq[:cut], Universe(n), 2, audit=False)
-            assert head.log == full.log[:cut]
+            assert (head.allocation.partition_of
+                    == full.allocation.partition_of[:cut])
