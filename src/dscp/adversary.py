@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     MAX_CELLS,
@@ -24,13 +24,13 @@ from .core import (
     Subset,
     Universe,
     count_covers,
-    format_instance,
+    instance_lines,
 )
 from .offline import pairing_offline
 from .online import OnlineAlgorithm, assign_all
 
 MAX_BOUND_Q = 40
-# a q=18 game peaks near 340 MiB, and memory doubles with each step of q
+# a q=18 game peaks near 225 MiB, and memory doubles with each step of q
 MAX_GAME_Q = 20
 
 VARIANTS = ("sa", "sb")
@@ -323,8 +323,11 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
     assign_all(algo, rationed, log)
     assign_all(algo, filler, log)
     algo.finish()
-    sequence = tuple(opening + rationed + filler)
+    # drop each per-arrival copy as soon as the next one exists
     alloc = Allocation(tuple(log))
+    del log
+    sequence = tuple(chain(opening, rationed, filler))
+    del filler
     t_online = count_covers(alloc, sequence, universe)
 
     bound = BOUNDS[variant](view.sizes, q)
@@ -347,8 +350,13 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
                       ratio_lower, transcript)
 
 
-def transcript_to_text(t: AdversaryTranscript) -> str:
-    """Serialize a transcript: key-value header, then the instance body."""
+# ids per piece of the streamed allocation line
+_ALLOC_CHUNK = 1 << 16
+
+
+def transcript_lines(t: AdversaryTranscript) -> Iterator[str]:
+    """A transcript's text in pieces of bounded size: key-value header,
+    the allocation in chunks of ids, then the instance body."""
     lines = [
         f"q {t.q}",
         f"variant {t.variant}",
@@ -366,8 +374,15 @@ def transcript_to_text(t: AdversaryTranscript) -> str:
             ",".join(str(p) for p in s.left),
             ",".join(str(p) for p in s.right)))
     lines.append(f"sinf_start {t.sinf_start}")
-    lines.append("allocation " + " ".join(
-        str(p) for p in t.allocation.partition_of))
-    lines.append("instance")
-    header = "\n".join(lines) + "\n"
-    return header + format_instance(t.universe, t.sequence, t.q)
+    yield "\n".join(lines) + "\nallocation "
+    ids = t.allocation.partition_of
+    for lo in range(0, len(ids), _ALLOC_CHUNK):
+        yield (" " if lo else "") + " ".join(
+            str(p) for p in ids[lo:lo + _ALLOC_CHUNK])
+    yield "\ninstance\n"
+    yield from instance_lines(t.universe, t.sequence, t.q)
+
+
+def transcript_to_text(t: AdversaryTranscript) -> str:
+    """Serialize a transcript: key-value header, then the instance body."""
+    return "".join(transcript_lines(t))

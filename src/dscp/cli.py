@@ -32,7 +32,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .adversary import (
     gen_theorem2,
     max_bound,
     play_game,
-    transcript_to_text,
+    transcript_lines,
 )
 from .core import (
     MAX_CELLS,
@@ -52,8 +52,8 @@ from .core import (
     Subset,
     Universe,
     count_covers,
-    format_instance,
     frequencies,
+    instance_lines,
     parse_instance,
 )
 from .offline import (
@@ -232,7 +232,7 @@ def emit_results(records: Sequence[ExperimentRecord], fmt: str = "csv",
         text = json.dumps(rows, indent=1) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    _write_text(text, path)
+    _write_text((text,), path)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +396,13 @@ def _load_instance(path: str | None) -> Instance:
         return parse_instance(fh.read())
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_text(lines: Iterable[str], path: str | None) -> None:
+    """Write text given as pieces (a string goes in as ``(text,)``)."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _int_list(text: str) -> list[int]:
@@ -424,19 +425,19 @@ def cmd_gen_theorem2(args) -> int:
     seq = gen_theorem2(args.n, args.m, args.variant)
     universe = Universe(args.n)
     fmin = frequencies(seq, universe).fmin
-    _write_text(format_instance(universe, seq, fmin), args.output)
+    _write_text(instance_lines(universe, seq, fmin), args.output)
     return 0
 
 
 def cmd_gen_scom(args) -> int:
     seq = gen_scom(args.q)
-    _write_text(format_instance(Universe(1 << args.q), seq), args.output)
+    _write_text(instance_lines(Universe(1 << args.q), seq), args.output)
     return 0
 
 
 def cmd_gen_random(args) -> int:
     seq, fmin = random_instance(args.n, args.p, args.m, args.fmin, args.seed)
-    _write_text(format_instance(Universe(args.n), seq, fmin), args.output)
+    _write_text(instance_lines(Universe(args.n), seq, fmin), args.output)
     return 0
 
 
@@ -511,7 +512,7 @@ def cmd_adversary(args) -> int:
     print(f"offline {game.offline}")
     print(f"ratio_lower {game.ratio_lower!r}")
     if args.save:
-        _write_text(transcript_to_text(game.transcript), args.save)
+        _write_text(transcript_lines(game.transcript), args.save)
     return 0
 
 
@@ -530,7 +531,10 @@ def cmd_experiment(args) -> int:
     records: list[ExperimentRecord] = []
     for n in args.n:
         for k in args.fmin:
-            m = args.m if args.m is not None else round(k / args.p)
+            m = args.m
+            if m is None:
+                # random_instance refuses any other p
+                m = round(k / args.p) if 0 < args.p <= 1 else 0
             cfg = ExperimentConfig(n=n, p=args.p, m=m, k=k,
                                    trials=args.trials, algorithms=algos,
                                    seed=args.seed)

@@ -40,7 +40,7 @@ class Universe:
             raise ValueError("universe needs at least one element")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subset:
     """An immutable subset of the universe.
 
@@ -170,15 +170,19 @@ def count_covers(alloc: Allocation, subsets: SubsetSequence,
     # per subset; past that (fresh ids over a large universe) a dict each
     room = 64 * len(ids) // n
     seen: dict[int, bytearray | dict[int, int]] = {}
-    last = None
+    last = prev = None
     try:
-        # allocations come in runs of one id: look up its flags once per run
+        # allocations come in runs of one id: look up its flags once per run,
+        # and skip a subset object the run has just flagged
         for pid, s in zip(ids, subsets):
             if pid != last:
                 got = seen.get(pid)
                 if got is None:
                     got = seen[pid] = bytearray(n) if len(seen) < room else {}
                 last = pid
+            elif s is prev:
+                continue
+            prev = s
             for i in s.members:
                 if i < 0:  # a bytearray index would wrap around
                     raise IndexError
@@ -331,12 +335,17 @@ def _parse_int(token: str, lineno: int) -> int:
             f"line {lineno}: expected integer, got {token!r}") from None
 
 
+def instance_lines(universe: Universe, subsets: SubsetSequence,
+                   fmin: int | None = None) -> Iterator[str]:
+    """The text format's lines, each ending in a newline."""
+    yield f"n {universe.n}\n"
+    if fmin is not None:
+        yield f"fmin {fmin}\n"
+    for s in subsets:
+        yield " ".join(str(i) for i in s.members) + "\n"
+
+
 def format_instance(universe: Universe, subsets: SubsetSequence,
                     fmin: int | None = None) -> str:
     """Serialize an instance back to the text format."""
-    lines = [f"n {universe.n}"]
-    if fmin is not None:
-        lines.append(f"fmin {fmin}")
-    for s in subsets:
-        lines.append(" ".join(str(i) for i in s.members))
-    return "\n".join(lines) + "\n"
+    return "".join(instance_lines(universe, subsets, fmin))

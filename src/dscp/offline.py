@@ -363,7 +363,8 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     bottlenecks = sorted(transcript.view.bottlenecks)
     start = transcript.sinf_start
     used = bytearray(n)
-    partition_of = [0] * len(seq)
+    # at most q // 2 <= 10 ids, so a byte each
+    partition_of = bytearray(len(seq))
     for pid, (x, y) in enumerate(pairs):
         partition_of[x] = pid
         partition_of[y] = pid

@@ -21,6 +21,7 @@ from dscp.adversary import (
     gen_theorem2,
     max_bound,
     play_game,
+    transcript_lines,
     transcript_to_text,
 )
 from dscp.core import (
@@ -500,7 +501,7 @@ def test_play_game_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 2**20
+    assert peak <= 2.5 * 2**20
 
 
 @pytest.mark.parametrize("bad,fragment", [
@@ -530,6 +531,19 @@ def test_transcript_round_trip():
     assert inst.universe == res.transcript.universe
     assert tuple(inst.subsets) == res.transcript.sequence
     assert inst.fmin == 4
+
+
+def test_transcript_allocation_line_spans_chunks():
+    # a q=13 game has more arrivals than one chunk of the streamed line
+    t = play_game(GreedyCover(), 13, "sb").transcript
+    ids = t.allocation.partition_of
+    assert len(ids) > 1 << 16
+    pieces = list(transcript_lines(t))
+    assert max(map(len, pieces)) < 4 << 16
+    lines = "".join(pieces).splitlines()
+    assert lines[7] == "allocation " + " ".join(map(str, ids))
+    assert lines[8] == "instance"
+    assert "".join(pieces) == transcript_to_text(t)
 
 
 def test_transcript_no_split_serialization():

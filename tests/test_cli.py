@@ -524,6 +524,16 @@ def test_cli_experiment_json():
     assert len(rows) == 1 and rows[0]["algo"] == "greedy"
 
 
+@pytest.mark.parametrize("p", ["0", "nan", "inf"])
+def test_cli_experiment_refuses_p_outside_unit_interval(p):
+    # the default m is k / p; a p that random_instance refuses must reach
+    # its check instead of dividing by zero or rounding a nan
+    proc = run_cli("experiment", "--n", "4", "--fmin", "2", "--p", p)
+    assert proc.returncode == 1
+    assert "p must be in (0, 1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_usage_errors_exit_1():
     assert run_cli().returncode == 1
     assert run_cli("online", "--algo", "simplex",

@@ -5,6 +5,9 @@ The small worked instance used throughout is U = {0,1,2,3} with subsets
 e0={v0,v2}, e1={v0,v1}, e2={v1,v2}, e3={v0}.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -147,6 +150,42 @@ def test_count_covers_flags_and_dicts_agree():
     for bad in (Subset((-1,)), Subset((100,))):
         with pytest.raises(MalformedInstanceError):
             count_covers(Allocation(ids), seq[:7] + [bad] + seq[8:], u)
+
+
+def test_count_covers_repeated_objects_match_recount():
+    # runs of one subset object, as the game's filler sends them, under ids
+    # that leave a partition and come back to it
+    a, b = Subset((0, 1)), Subset((2, 3))
+    cases = [([a, a, b, b], [0, 1, 1, 0]), ([a, a, a, a], [0, 0, 1, 0]),
+             ([a, a, b, b, b], [0, 0, 1, 0, 0])]
+    rng = random.Random(0x5EE)
+    for _ in range(300):
+        pool = random_subsets(rng, 4, 3, p=0.7)
+        seq = [s for s in pool for _ in range(rng.randint(1, 4))]
+        cases.append((seq, [rng.randrange(3) for _ in seq]))
+    for seq, ids in cases:
+        alloc = Allocation(tuple(ids))
+        assert count_covers(alloc, seq, U4) == sum(
+            len({i for j in g for i in seq[j]}) == 4
+            for g in alloc.groups().values())
+
+
+def test_count_covers_repeated_out_of_range_raises():
+    for bad in (Subset((-1,)), Subset((4,))):
+        for ids in ((0, 0, 0), (0, 1, 1), (1, 0, 0)):
+            with pytest.raises(MalformedInstanceError):
+                count_covers(Allocation(ids), [bad] * 3, U4)
+
+
+def test_subset_is_slotted_and_round_trips():
+    s = Subset((1, 5, 9))
+    assert not hasattr(Subset((1,)), "__dict__")
+    twins = [pickle.loads(pickle.dumps(s, proto))
+             for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*twins, copy.deepcopy(s)]:
+        assert twin == s and twin is not s and twin.members == (1, 5, 9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.members = ()
 
 
 def test_count_covers_length_mismatch():
