@@ -24,6 +24,7 @@ from .core import (
     Subset,
     Universe,
     count_covers,
+    id_line,
     instance_lines,
 )
 from .offline import pairing_offline
@@ -350,39 +351,22 @@ def play_game(algo: OnlineAlgorithm, q: int, variant: str) -> GameResult:
                       ratio_lower, transcript)
 
 
-# ids per piece of the streamed allocation line
-_ALLOC_CHUNK = 1 << 16
-
-
 def transcript_lines(t: AdversaryTranscript) -> Iterator[str]:
     """A transcript's text in pieces of bounded size: key-value header,
-    the allocation in chunks of ids, then the instance body."""
-    lines = [
-        f"q {t.q}",
-        f"variant {t.variant}",
-        f"fmin {t.q}",
-        "classes " + "|".join(
-            ",".join(str(p) for p in cls) for cls in t.view.classes),
-        "bottlenecks " + ",".join(str(b) for b in t.view.bottlenecks),
-    ]
-    if t.view.split is None:
-        lines.append("split none")
-    else:
-        s = t.view.split
-        lines.append("split {}:{}/{}".format(
-            s.partition,
-            ",".join(str(p) for p in s.left),
-            ",".join(str(p) for p in s.right)))
-    lines.append(f"sinf_start {t.sinf_start}")
-    yield "\n".join(lines) + "\nallocation "
-    ids = t.allocation.partition_of
-    for lo in range(0, len(ids), _ALLOC_CHUNK):
-        yield (" " if lo else "") + " ".join(
-            str(p) for p in ids[lo:lo + _ALLOC_CHUNK])
-    yield "\ninstance\n"
+    the allocation line, then the instance body."""
+    view = t.view
+    split = "none"
+    if view.split is not None:
+        s = view.split
+        split = f"{s.partition}:{_commas(s.left)}/{_commas(s.right)}"
+    yield f"q {t.q}\nvariant {t.variant}\nfmin {t.q}\n"
+    yield "classes " + "|".join(map(_commas, view.classes)) + "\n"
+    yield from id_line("bottlenecks", view.bottlenecks, ",")
+    yield f"split {split}\nsinf_start {t.sinf_start}\n"
+    yield from id_line("allocation", t.allocation.partition_of)
+    yield "instance\n"
     yield from instance_lines(t.universe, t.sequence, t.q)
 
 
-def transcript_to_text(t: AdversaryTranscript) -> str:
-    """Serialize a transcript: key-value header, then the instance body."""
-    return "".join(transcript_lines(t))
+def _commas(ids: Sequence[int]) -> str:
+    return ",".join(str(i) for i in ids)

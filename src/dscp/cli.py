@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -32,6 +30,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,6 +52,7 @@ from .core import (
     Universe,
     count_covers,
     frequencies,
+    id_line,
     instance_lines,
     parse_instance,
 )
@@ -221,18 +221,16 @@ def emit_results(records: Sequence[ExperimentRecord], fmt: str = "csv",
                 f"record claims {r.covers} covers above bound "
                 f"{r.upper_bound}: {r}")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow([getattr(r, f) for f in CSV_FIELDS])
-        text = buf.getvalue()
+        # every field is an int, a float or a registry name: nothing to quote
+        rows = chain([CSV_FIELDS], ([getattr(r, f) for f in CSV_FIELDS]
+                                    for r in records))
+        lines = (",".join(map(str, row)) + "\n" for row in rows)
     elif fmt == "json":
         rows = [{f: getattr(r, f) for f in CSV_FIELDS} for r in records]
-        text = json.dumps(rows, indent=1) + "\n"
+        lines = (json.dumps(rows, indent=1) + "\n",)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    _write_text((text,), path)
+    _write_text(lines, path)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +389,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_instance(path: str | None) -> Instance:
     if path is None or path == "-":
-        return parse_instance(sys.stdin.read())
+        return parse_instance(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        return parse_instance(fh)
 
 
 def _write_text(lines: Iterable[str], path: str | None) -> None:
-    """Write text given as pieces (a string goes in as ``(text,)``)."""
+    """Write text pieces (a string as ``(text,)``) to ``path`` or stdout."""
     if path is None:
         sys.stdout.writelines(lines)
     else:
@@ -445,8 +443,7 @@ def cmd_offline_exact(args) -> int:
     inst = _load_instance(args.instance)
     result = exact_max_disjoint_covers(inst.subsets, inst.universe)
     print(f"covers {result.opt}")
-    print("allocation " + " ".join(
-        str(p) for p in result.witness.partition_of))
+    _write_text(id_line("allocation", result.witness.partition_of), None)
     return 0
 
 
@@ -455,9 +452,8 @@ def cmd_offline_polyoff(args) -> int:
     coloring = polyoff(inst.subsets, inst.universe, num_colors=args.colors)
     covers = count_covers(Allocation(coloring.color_of), inst.subsets,
                           inst.universe)
-    print(f"colors {coloring.num_colors}")
-    print(f"covers {covers}")
-    print("allocation " + " ".join(str(c) for c in coloring.color_of))
+    print(f"colors {coloring.num_colors}\ncovers {covers}")
+    _write_text(id_line("allocation", coloring.color_of), None)
     return 0
 
 
@@ -488,13 +484,10 @@ def cmd_online(args) -> int:
         algo, inst.subsets, inst.universe, fmin))
     if result is None:
         return 2
-    print(f"algo {args.algo}")
-    print(f"fmin {fmin}")
-    print(f"covers {result.covers}")
+    print(f"algo {args.algo}\nfmin {fmin}\ncovers {result.covers}")
     if result.underfull:
-        print("underfull " + ",".join(str(i) for i in result.underfull))
-    print("allocation " + " ".join(
-        str(p) for p in result.allocation.partition_of))
+        _write_text(id_line("underfull", result.underfull, ","), None)
+    _write_text(id_line("allocation", result.allocation.partition_of), None)
     return 0
 
 
@@ -503,14 +496,10 @@ def cmd_adversary(args) -> int:
         algo, args.q, args.variant))
     if game is None:
         return 2
-    print(f"algo {args.algo}")
-    print(f"q {args.q}")
-    print(f"variant {args.variant}")
-    print(f"t_online {game.t_online}")
-    print(f"bound {game.bound}")
-    print(f"split {'yes' if game.split else 'no'}")
-    print(f"offline {game.offline}")
-    print(f"ratio_lower {game.ratio_lower!r}")
+    print(f"algo {args.algo}\nq {args.q}\nvariant {args.variant}\n"
+          f"t_online {game.t_online}\nbound {game.bound}\n"
+          f"split {'yes' if game.split else 'no'}\n"
+          f"offline {game.offline}\nratio_lower {game.ratio_lower!r}")
     if args.save:
         _write_text(transcript_lines(game.transcript), args.save)
     return 0
@@ -522,7 +511,7 @@ def cmd_bound(args) -> int:
     else:
         value, witness = max_bound(args.q, args.variant)
         print(f"max_bound {value}")
-        print("witness " + ",".join(str(d) for d in witness))
+        _write_text(id_line("witness", witness, ","), None)
     return 0
 
 

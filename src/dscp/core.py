@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-# the most cells a dense per-element table or a generated stream may take (the
-# tracker's n x colors table, both generators) before a run is refused
+# the most cells a dense per-element table (the tracker's n x colors, the
+# parser's n) or a generated stream may take before a run is refused
 MAX_CELLS = 1 << 24
 
 
@@ -278,30 +278,33 @@ def validate_polychromatic(h: HypergraphView,
 #                  empty subset; lines starting with '#' are comments
 # ---------------------------------------------------------------------------
 
-def parse_instance(text: str) -> Instance:
-    """Parse the line-oriented instance format.  Raises
-    MalformedInstanceError on any structural problem."""
-    n: int | None = None
+def parse_instance(source: str | Iterable[str]) -> Instance:
+    """Parse the line-oriented instance format from a string or from an
+    open text file, read line by line; either way lines break where
+    ``str.splitlines`` breaks them.  Raises MalformedInstanceError on any
+    structural problem."""
+    chunks = (source,) if isinstance(source, str) else source
+    lines = enumerate((raw.strip() for chunk in chunks
+                       for raw in chunk.splitlines()), start=1)
+    rows = ((k, line) for k, line in lines if not line.startswith("#"))
+    lineno, line = next(rows, (0, None))
+    if line is None:
+        raise MalformedInstanceError("missing 'n <N>' header")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "n":
+        got = f", got {line!r}" if line else ""
+        raise MalformedInstanceError(
+            f"line {lineno}: expected 'n <N>' header{got}")
+    n = _parse_int(parts[1], lineno)
+    if n < 1:
+        raise MalformedInstanceError(f"line {lineno}: n must be >= 1")
+    if n > MAX_CELLS:  # before anything is sized by n
+        raise MalformedInstanceError(
+            f"line {lineno}: n must be at most {MAX_CELLS}")
     fmin: int | None = None
     subsets: list[Subset] = []
-    body_started = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
-        if n is None:
-            if not line:
-                raise MalformedInstanceError(
-                    f"line {lineno}: expected 'n <N>' header")
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "n":
-                raise MalformedInstanceError(
-                    f"line {lineno}: expected 'n <N>' header, got {line!r}")
-            n = _parse_int(parts[1], lineno)
-            if n < 1:
-                raise MalformedInstanceError(f"line {lineno}: n must be >= 1")
-            continue
-        if not body_started and line.startswith("fmin"):
+    for lineno, line in rows:  # the optional fmin line, else a subset
+        if line.startswith("fmin"):
             parts = line.split()
             if len(parts) != 2:
                 raise MalformedInstanceError(
@@ -310,21 +313,24 @@ def parse_instance(text: str) -> Instance:
             if fmin < 0:
                 raise MalformedInstanceError(
                     f"line {lineno}: fmin must be >= 0")
-            body_started = True
-            continue
-        body_started = True
-        if not line:
-            subsets.append(Subset())
-            continue
-        ids = [_parse_int(tok, lineno) for tok in line.split()]
-        for i in ids:
-            if not 0 <= i < n:
-                raise MalformedInstanceError(
-                    f"line {lineno}: element {i} outside universe of size {n}")
-        subsets.append(Subset.of(ids))
-    if n is None:
-        raise MalformedInstanceError("missing 'n <N>' header")
+        else:
+            subsets.append(_parse_subset(line, lineno, n))
+        break
+    subsets.extend(_parse_subset(line, lineno, n) for lineno, line in rows)
     return Instance(Universe(n), tuple(subsets), fmin)
+
+
+def _parse_subset(line: str, lineno: int, n: int) -> Subset:
+    """One body line; a blank line is the empty subset."""
+    try:
+        ids = set(map(int, line.split()))
+    except ValueError:  # name the first bad token
+        ids = [_parse_int(tok, lineno) for tok in line.split()]
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        i = next(i for i in map(int, line.split()) if not 0 <= i < n)
+        raise MalformedInstanceError(
+            f"line {lineno}: element {i} outside universe of size {n}")
+    return Subset(tuple(sorted(ids)))
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -335,14 +341,33 @@ def _parse_int(token: str, lineno: int) -> int:
             f"line {lineno}: expected integer, got {token!r}") from None
 
 
+# ids per piece of a streamed id line
+_ID_CHUNK = 1 << 16
+
+
+def id_line(key: str, ids: Sequence[int], sep: str = " ") -> Iterator[str]:
+    """The line ``key id<sep>id...`` and its newline, yielded in pieces of
+    at most 2^16 ids, so a long line is never built whole."""
+    yield key + " "
+    for lo in range(0, len(ids), _ID_CHUNK):
+        yield (sep if lo else "") + sep.join(
+            str(i) for i in ids[lo:lo + _ID_CHUNK])
+    yield "\n"
+
+
 def instance_lines(universe: Universe, subsets: SubsetSequence,
                    fmin: int | None = None) -> Iterator[str]:
-    """The text format's lines, each ending in a newline."""
+    """The text format's lines, each ending in a newline.  A subset object
+    that repeats the one before it reuses its line."""
     yield f"n {universe.n}\n"
     if fmin is not None:
         yield f"fmin {fmin}\n"
+    prev = line = None
     for s in subsets:
-        yield " ".join(str(i) for i in s.members) + "\n"
+        if s is not prev:
+            line = " ".join(str(i) for i in s.members) + "\n"
+            prev = s
+        yield line
 
 
 def format_instance(universe: Universe, subsets: SubsetSequence,

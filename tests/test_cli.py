@@ -180,6 +180,24 @@ def test_emit_results_csv(tmp_path):
     assert rows[0]["covers"] == "3"
 
 
+def test_emit_results_csv_matches_csv_writer():
+    recs = [ExperimentRecord(trial=t, n=4, m=3, fmin=3, algo=algo,
+                             covers=c, upper_bound=3, ratio_lower=r,
+                             seed=2**64 - 1, millis=t)
+            for t, (algo, c, r) in enumerate([
+                ("greedy", 0, float("inf")), ("polyon", 3, 0.1 + 0.2),
+                ("randcolour", 2, 1.5), ("greedy", 3, 1e-300)])]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit_results(recs, "csv")
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows([getattr(r, f) for f in CSV_FIELDS] for r in recs)
+    assert buf.getvalue() == want.getvalue()
+    assert "0.30000000000000004" in buf.getvalue()
+
+
 def test_emit_results_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     emit_results([], "csv", str(out))
@@ -465,6 +483,43 @@ def test_cli_refuses_colors_past_max_cells(cmd):
     assert time.monotonic() - start < 1.0
     assert proc.returncode == 1
     assert "tracker cells" in proc.stderr
+
+
+def test_cli_online_crlf_by_path_and_stdin(tmp_path):
+    text = b"# crlf\r\nn 3\r\nfmin 1\r\n0 1\r\n\r\n2\r\n1 2\r\n"
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text)
+    argv = [sys.executable, "-m", "dscp", "online", "--algo", "polyon"]
+    by_path = subprocess.run(argv + [str(path)], capture_output=True,
+                             timeout=120)
+    by_stdin = subprocess.run(argv, input=text, capture_output=True,
+                              timeout=120)
+    assert by_path.returncode == by_stdin.returncode == 0
+    assert by_path.stdout == by_stdin.stdout
+    assert b"\r" not in by_path.stdout
+    assert by_path.stdout.splitlines()[-1] == b"allocation 0 0 0 0"
+
+
+def test_cli_online_allocation_line_spans_chunks():
+    # 65,537 subsets: more ids than one piece of the streamed line
+    m = (1 << 16) + 1
+    proc = run_cli("online", "--algo", "greedy",
+                   stdin="n 1\nfmin 1\n" + "0\n" * m)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert [ln for ln in lines if ln.startswith("allocation")] == [
+        "allocation " + " ".join(str(p) for p in range(m))]
+
+
+def test_cli_online_refuses_header_n_past_max_cells():
+    # refused at the header, before the frequency table or the underfull
+    # audit is sized by n
+    start = time.monotonic()
+    proc = run_cli("online", "--algo", "greedy",
+                   stdin=f"n {(1 << 24) + 1}\nfmin 1\n0\n")
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 1
+    assert "line 1: n must be at most 16777216" in proc.stderr
 
 
 def test_cli_online_reports_underfull():

@@ -7,12 +7,14 @@ e0={v0,v2}, e1={v0,v1}, e2={v1,v2}, e3={v0}.
 
 import copy
 import dataclasses
+import io
 import pickle
 import random
 
 import pytest
 
 from dscp.core import (
+    MAX_CELLS,
     Allocation,
     Coloring,
     MalformedInstanceError,
@@ -23,6 +25,8 @@ from dscp.core import (
     count_covers,
     format_instance,
     frequencies,
+    id_line,
+    instance_lines,
     is_set_cover,
     parse_instance,
     shrink_stream,
@@ -408,3 +412,88 @@ def test_format_parse_round_trip():
         assert inst.universe.n == n
         assert list(inst.subsets) == seq
         assert inst.fmin == fmin
+
+
+# every line break of str.splitlines, each on its own and as CRLF
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
+
+PARSE_CASES = [
+    "n 3\nfmin 1\n0 1\n2\n",
+    "# head\n  n 3 \n# between\nfmin 2\n\n 2 0 0 \n# tail",
+    "n 2\n\n\n1\n",          # blank lines are empty subsets
+    "n 2\n0\nfmin 1\n",        # fmin after the body is a body line
+    "n 4\nfminx 3\n1",          # no final newline
+    "\n",                        # errors from here on
+    "",
+    "# only\n",
+    "0 1\nn 2\n",
+    "n\n",
+    "n x\n",
+    "n 0\n",
+    "n 2\nfmin\n",
+    "n 2\nfmin -1\n",
+    "n 2\nfmin x\n",
+    "n 2\n0 x 5\n",
+    "n 2\n1 5 -1\n",
+    "n 16777217\n",
+]
+
+
+def _outcome(parse):
+    try:
+        inst = parse()
+    except MalformedInstanceError as exc:
+        return str(exc)
+    return inst.universe.n, [s.members for s in inst.subsets], inst.fmin
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_parse_streamed_matches_whole(tmp_path, brk):
+    path = tmp_path / "inst.txt"
+    for case in PARSE_CASES:
+        text = case.replace("\n", brk)
+        whole = _outcome(lambda: parse_instance(text))
+        assert whole == _outcome(lambda: parse_instance(case))
+        # stdin's mode: no newline translation
+        assert _outcome(lambda: parse_instance(
+            io.StringIO(text, newline="\n"))) == whole
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            assert _outcome(lambda: parse_instance(fh)) == whole
+
+
+def test_parse_error_messages_and_lines():
+    assert _outcome(lambda: parse_instance("")) == "missing 'n <N>' header"
+    assert _outcome(lambda: parse_instance("# c\n\n")) == \
+        "line 2: expected 'n <N>' header"
+    assert _outcome(lambda: parse_instance("# c\r\nn 2\f0 x\n")) == \
+        "line 3: expected integer, got 'x'"
+    assert _outcome(lambda: parse_instance("n 2\n# c\n1 5 -1")) == \
+        "line 3: element 5 outside universe of size 2"
+
+
+def test_parse_caps_header_n():
+    assert parse_instance(f"n {MAX_CELLS}\n").universe.n == 1 << 24
+    with pytest.raises(MalformedInstanceError,
+                       match="^line 2: n must be at most 16777216$"):
+        parse_instance(f"# big\nn {MAX_CELLS + 1}\n0\n")
+
+
+def test_id_line_pieces():
+    assert list(id_line("allocation", ())) == ["allocation ", "\n"]
+    assert "".join(id_line("witness", (3, 1), ",")) == "witness 3,1\n"
+    ids = list(range((1 << 17) + 5))
+    pieces = list(id_line("underfull", ids, ","))
+    assert len(pieces) == 5
+    assert max(len(p.strip(",").split(",")) for p in pieces) == 1 << 16
+    assert "".join(pieces) == "underfull " + ",".join(map(str, ids)) + "\n"
+
+
+def test_instance_lines_reuse_repeated_subset():
+    s, t = Subset((0, 2)), Subset((1,))
+    lines = list(instance_lines(Universe(3), [s, s, t, s], 2))
+    assert lines == ["n 3\n", "fmin 2\n"] + [
+        " ".join(str(i) for i in x.members) + "\n" for x in (s, s, t, s)]
+    assert lines[3] is lines[2]
+    assert parse_instance("".join(lines)).subsets == (s, s, t, s)
