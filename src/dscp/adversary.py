@@ -114,15 +114,9 @@ class ScomAllocationView:
     split: SplitRecord | None = None
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for cls in self.classes:
-            if not cls:
-                raise ValueError("empty class")
-            for p in cls:
-                if not 0 <= p < self.q or p in seen:
-                    raise ValueError("classes must partition the positions")
-                seen.add(p)
-        if len(seen) != self.q:
+        if not all(self.classes):
+            raise ValueError("empty class")
+        if sorted(chain.from_iterable(self.classes)) != list(range(self.q)):
             raise ValueError("classes must partition the positions")
 
     @property
@@ -175,30 +169,23 @@ def gen_tail(view: ScomAllocationView,
     bottleneck subsets, then the non-bottleneck singleton filler."""
     variant = _norm_variant(variant)
     q = view.q
-    bottlenecks = view.bottlenecks
-    by_size: dict[int, list[int]] = {}
-    for cls, b in zip(view.classes, bottlenecks):
-        by_size.setdefault(len(cls), []).append(b)
-    top = max(by_size)
-
+    sized = list(zip(view.sizes, view.bottlenecks))
     rationed: list[Subset] = []
     if variant == "sa":
         # size-d classes get exactly d copies of their joint bottleneck set
-        for d in range(1, top + 1):
-            if d in by_size:
-                rationed.extend([Subset.of(by_size[d])] * d)
+        for d in sorted(set(view.sizes)):
+            rationed += [Subset.of(b for s, b in sized if s == d)] * d
     else:
         # nested sets: the k-th subset carries bottlenecks of classes with
         # size >= k, so a size-d class sees its bottleneck d times
-        for k in range(1, top + 1):
-            pool = [b for d, bs in by_size.items() if d >= k for b in bs]
-            rationed.append(Subset.of(pool))
+        for k in range(1, max(view.sizes) + 1):
+            rationed.append(Subset.of(b for s, b in sized if s >= k))
 
     # q copies of every non-bottleneck singleton: enough for floor(q/2)
     # offline covers and for every partition the algorithm may complete,
     # and together with the opening subsets it pushes every non-bottleneck
     # element to frequency >= q while bottlenecks sit at exactly q.
-    mine = set(bottlenecks)
+    mine = set(view.bottlenecks)
     filler = []
     for e in range(1 << q):
         if e not in mine:
@@ -240,18 +227,15 @@ def _check_sizes(sizes: Sequence[int], q: int) -> None:
 BOUNDS = {"sa": bound_sa, "sb": bound_sb}
 
 
-def _partitions(total: int):
-    """Integer partitions of ``total``, parts non-increasing."""
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(total, total)
+def _partitions(total: int, cap: int):
+    """Integer partitions of ``total`` into parts of at most ``cap``, parts
+    non-increasing."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(cap, total), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
 
 
 def max_bound(q: int, variant: str) -> tuple[int, tuple[int, ...]]:
@@ -263,7 +247,7 @@ def max_bound(q: int, variant: str) -> tuple[int, tuple[int, ...]]:
     fn = BOUNDS[variant]
     best = -1
     witness: tuple[int, ...] = ()
-    for sizes in _partitions(q):
+    for sizes in _partitions(q, q):
         value = fn(sizes, q)
         if value > best:
             best = value

@@ -306,7 +306,7 @@ def parse_instance(source: str | Iterable[str]) -> Instance:
     for lineno, line in rows:  # the optional fmin line, else a subset
         if line.startswith("fmin"):
             parts = line.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or parts[0] != "fmin":
                 raise MalformedInstanceError(
                     f"line {lineno}: expected 'fmin <K>', got {line!r}")
             fmin = _parse_int(parts[1], lineno)

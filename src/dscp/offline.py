@@ -8,7 +8,6 @@ transcripts.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -326,12 +325,13 @@ def exact_max_disjoint_covers(subsets: SubsetSequence,
 def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     """Build floor(q/2) disjoint covers from a game transcript.
 
-    Repeatedly pops one opening subset from each of the two largest
-    remaining partition classes; any two opening subsets from different
-    classes jointly contain every bottleneck element, and the rest of the
-    universe is filled with tail singletons.  Everything left over joins the
-    first pair's partition, so the result has exactly floor(q/2) partitions,
-    each a cover by construction (``play_game`` recounts them).
+    Each pair takes the first remaining opening subset of each of the two
+    largest remaining partition classes, a tie going to the class whose
+    first remaining position is lower.  Any two opening subsets from
+    different classes jointly contain every bottleneck element, and the rest
+    of the universe is filled with tail singletons.  Everything left over
+    joins the first pair's partition, so the result has exactly floor(q/2)
+    partitions, each a cover by construction (``play_game`` recounts them).
 
     The tail must be laid out as ``gen_tail`` writes it: from ``sinf_start``
     on, q copies of each non-bottleneck singleton in ascending order.  A
@@ -341,24 +341,14 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     q = transcript.q
     n = transcript.universe.n
     seq = transcript.sequence
-    classes = [list(c) for c in transcript.view.classes]
-
-    heap = [(-len(c), c[0], c) for c in classes if c]
-    heapq.heapify(heap)
+    live = [list(c) for c in transcript.view.classes]
     pairs: list[tuple[int, int]] = []
-    while len(heap) >= 2:
-        na, _, a = heapq.heappop(heap)
-        nb, _, b = heapq.heappop(heap)
-        x, y = a.pop(0), b.pop(0)
-        pairs.append((x, y))
-        if a:
-            heapq.heappush(heap, (na + 1, a[0], a))
-        if b:
-            heapq.heappush(heap, (nb + 1, b[0], b))
-    if len(pairs) < q // 2:
-        raise TranscriptError(
-            f"only {len(pairs)} cross-class pairs for q={q}")
-    pairs = pairs[: q // 2]
+    while len(pairs) < q // 2:
+        live = sorted((c for c in live if c), key=lambda c: (-len(c), c[0]))
+        if len(live) < 2:
+            raise TranscriptError(
+                f"only {len(pairs)} cross-class pairs for q={q}")
+        pairs.append((live[0].pop(0), live[1].pop(0)))
 
     bottlenecks = sorted(transcript.view.bottlenecks)
     start = transcript.sinf_start

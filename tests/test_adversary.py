@@ -1,9 +1,11 @@
 """Adversary construction tests: openings, tails, bounds, and full games."""
 
 import hashlib
+import heapq
 import math
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -11,6 +13,7 @@ from dscp.adversary import (
     MAX_BOUND_Q,
     MAX_GAME_Q,
     VARIANTS,
+    AdversaryTranscript,
     ScomAllocationView,
     SplitRecord,
     bound_sa,
@@ -32,6 +35,7 @@ from dscp.core import (
     is_set_cover,
     parse_instance,
 )
+from dscp.offline import pairing_offline
 from dscp.online import GreedyCover, OnlineAlgorithm, PolyOn
 
 
@@ -360,6 +364,138 @@ def test_max_bound_validation():
         max_bound(MAX_BOUND_Q + 1, "sa")
     with pytest.raises(ValueError):
         max_bound(5, "sx")
+
+
+# ---------------------------------------------------------------------------
+# the game's rules against reference copies of their earlier implementations
+# ---------------------------------------------------------------------------
+
+def all_openings(q):
+    """Every set partition of the q opening positions, as an allocation
+    whose ids follow first occurrence (restricted growth strings)."""
+    def rec(prefix, top):
+        if len(prefix) == q:
+            yield Allocation(tuple(prefix))
+            return
+        for pid in range(top + 2):
+            yield from rec(prefix + [pid], max(top, pid))
+    yield from rec([0], 0)
+
+
+def reference_pairs(view):
+    """Cross-class pairs by a heap of (-size, first position, class)."""
+    heap = [(-len(c), c[0], c) for c in map(list, view.classes) if c]
+    heapq.heapify(heap)
+    pairs = []
+    while len(heap) >= 2:
+        na, _, a = heapq.heappop(heap)
+        nb, _, b = heapq.heappop(heap)
+        pairs.append((a.pop(0), b.pop(0)))
+        if a:
+            heapq.heappush(heap, (na + 1, a[0], a))
+        if b:
+            heapq.heappush(heap, (nb + 1, b[0], b))
+    return pairs[: view.q // 2]
+
+
+def reference_rationed(view, variant):
+    """The rationed subsets by a size-indexed dict of bottlenecks."""
+    by_size = {}
+    for cls, b in zip(view.classes, view.bottlenecks):
+        by_size.setdefault(len(cls), []).append(b)
+    top = max(by_size)
+    rationed = []
+    if variant == "sa":
+        for d in range(1, top + 1):
+            if d in by_size:
+                rationed.extend([Subset.of(by_size[d])] * d)
+    else:
+        for k in range(1, top + 1):
+            pool = [b for d, bs in by_size.items() if d >= k for b in bs]
+            rationed.append(Subset.of(pool))
+    return rationed
+
+
+def object_pattern(subsets):
+    """Per subset, the first index holding the very same object."""
+    return [next(j for j in range(i + 1) if subsets[j] is s)
+            for i, s in enumerate(subsets)]
+
+
+def test_pairing_and_rations_match_references_on_every_opening():
+    for q in range(2, 8):
+        opening = gen_scom(q)
+        for alloc in all_openings(q):
+            view = derive_structure(alloc, q)
+            bottlenecks = set(view.bottlenecks)
+            want_pairs = [0] * q  # positions left over join pair 0
+            for pid, (x, y) in enumerate(reference_pairs(view)):
+                want_pairs[x] = want_pairs[y] = pid
+            for variant in VARIANTS:
+                rationed, filler = gen_tail(view, variant)
+                want = reference_rationed(view, variant)
+                assert rationed == want, (alloc, variant)
+                assert object_pattern(rationed) == object_pattern(want)
+                assert [s.members for s in filler] == [
+                    (e,) for e in range(1 << q)
+                    if e not in bottlenecks for _ in range(q)]
+                transcript = AdversaryTranscript(
+                    q=q, variant=variant, universe=Universe(1 << q),
+                    sequence=tuple(chain(opening, rationed, filler)),
+                    allocation=alloc, view=view,
+                    sinf_start=q + len(rationed))
+                got = pairing_offline(transcript).partition_of[:q]
+                assert list(got) == want_pairs, (alloc, variant)
+
+
+def reference_class_check(q, classes):
+    """The partition rule as one scan with a seen-set; None if accepted."""
+    seen = set()
+    for cls in classes:
+        if not cls:
+            return "empty class"
+        for p in cls:
+            if not 0 <= p < q or p in seen:
+                return "classes must partition the positions"
+            seen.add(p)
+    if len(seen) != q:
+        return "classes must partition the positions"
+    return None
+
+
+def test_class_check_matches_reference():
+    rng = random.Random(0xC1A5)
+    verdicts = Counter()
+    for _ in range(5000):
+        q = rng.randint(0, 6)
+        if rng.random() < 0.5:  # a shuffled partition, then maybe broken
+            positions = list(range(q))
+            rng.shuffle(positions)
+            cuts = sorted(rng.sample(range(1, q), rng.randint(0, q - 1))) \
+                if q > 1 else []
+            classes = [positions[a:b]
+                       for a, b in zip([0] + cuts, cuts + [q])] if q else []
+            if rng.random() < 0.5:  # an empty class, or a stray position
+                classes.insert(rng.randint(0, len(classes)),
+                               [rng.randint(-1, q)] * rng.randint(0, 1))
+        else:
+            classes = [[rng.randint(-1, q) for _ in range(rng.randint(0, 3))]
+                       for _ in range(rng.randint(0, 4))]
+        classes = tuple(map(tuple, classes))
+        want = reference_class_check(q, classes)
+        try:
+            ScomAllocationView(q, classes)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        verdicts[want] += 1
+        # the same verdicts; a tuple with an empty class is rejected as
+        # such, whatever else is wrong with it
+        if want is not None and () in classes:
+            assert got == "empty class", classes
+        else:
+            assert got == want, classes
+    assert min(verdicts.values()) > 500, verdicts
 
 
 # ---------------------------------------------------------------------------

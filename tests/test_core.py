@@ -423,8 +423,9 @@ PARSE_CASES = [
     "# head\n  n 3 \n# between\nfmin 2\n\n 2 0 0 \n# tail",
     "n 2\n\n\n1\n",          # blank lines are empty subsets
     "n 2\n0\nfmin 1\n",        # fmin after the body is a body line
-    "n 4\nfminx 3\n1",          # no final newline
+    "n 4\nfmin 3\n1",           # no final newline
     "\n",                        # errors from here on
+    "n 4\nfminx 3\n1\n",
     "",
     "# only\n",
     "0 1\nn 2\n",
@@ -471,6 +472,10 @@ def test_parse_error_messages_and_lines():
         "line 3: expected integer, got 'x'"
     assert _outcome(lambda: parse_instance("n 2\n# c\n1 5 -1")) == \
         "line 3: element 5 outside universe of size 2"
+    assert _outcome(lambda: parse_instance("n 4\nfminx 3\n1\n")) == \
+        "line 2: expected 'fmin <K>', got 'fminx 3'"
+    assert _outcome(lambda: parse_instance("n 4\nfmin5\n")) == \
+        "line 2: expected 'fmin <K>', got 'fmin5'"
 
 
 def test_parse_caps_header_n():

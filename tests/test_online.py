@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from dscp.cli import random_instance
 from dscp.core import Subset, Universe, frequencies
 from dscp.offline import TrackerProbe, default_num_colors
 from dscp.online import (
@@ -155,6 +156,27 @@ def test_polyon_guarantee_on_honest_instances():
         floor_bound = math.floor(n * ell * (1 - 1 / ell) ** fmin) if ell > 1 \
             else 0
         assert res.covers >= max(0, ell - floor_bound)
+
+
+def test_polyon_guarantee_on_shuffled_orders():
+    # the guarantee holds for every arrival order, not just the drawn one
+    rng = random.Random(0x5AF1)
+    for seed in range(60):
+        n = rng.randint(2, 16)
+        base, fmin = random_instance(n, rng.uniform(0.2, 0.7),
+                                     rng.randint(2, 20), rng.randint(1, 6),
+                                     seed)
+        for _ in range(8):
+            seq = list(base)
+            rng.shuffle(seq)
+            probe = TrackerProbe(recompute_every=1)
+            algo = PolyOn(probe=probe)
+            res = run_online(algo, seq, Universe(n), fmin, audit=False)
+            ell = algo.num_colors
+            floor_bound = math.floor(n * ell * (1 - 1 / ell) ** fmin)
+            assert res.covers >= ell - floor_bound, (seed, seq)
+            assert probe.max_increase <= 1e-9
+            assert probe.max_rel_err <= 1e-9
 
 
 def test_polyon_tracker_never_increases():
