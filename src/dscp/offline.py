@@ -9,7 +9,7 @@ transcripts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
@@ -96,7 +96,11 @@ class ExpectationTracker:
             raise ValueError("need at least one color")
         self.num_colors = num_colors
         # vertices of each edge not yet recolored; a copy, since it counts down
-        self._left = np.array(edge_sizes, dtype=np.int64)
+        try:
+            self._left = np.array(edge_sizes, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(
+                "edge sizes must be non-negative and below 2**63") from None
         if self._left.ndim != 1 or (self._left < 0).any():
             raise ValueError("edge sizes must be non-negative")
         beta = 1.0 - 1.0 / num_colors
@@ -333,10 +337,9 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
     joins the first pair's partition, so the result has exactly floor(q/2)
     partitions, each a cover by construction (``play_game`` recounts them).
 
-    The tail must be laid out as ``gen_tail`` writes it: from ``sinf_start``
-    on, q copies of each non-bottleneck singleton in ascending order.  A
-    position that does not hold the singleton this layout expects raises
-    ``TranscriptError``.
+    From ``sinf_start`` on, the tail must hold the filler laid out by
+    ``transcript.view.filler_runs``.  A position that does not hold the
+    singleton this layout expects raises ``TranscriptError``.
     """
     q = transcript.q
     n = transcript.universe.n
@@ -350,8 +353,11 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
                 f"only {len(pairs)} cross-class pairs for q={q}")
         pairs.append((live[0].pop(0), live[1].pop(0)))
 
-    bottlenecks = sorted(transcript.view.bottlenecks)
-    start = transcript.sinf_start
+    pos = transcript.sinf_start
+    # one past the position of each element's last filler copy
+    ends = array("q", [pos]) * n
+    for e, copies in transcript.view.filler_runs():
+        ends[e] = pos = pos + copies
     used = bytearray(n)
     # at most q // 2 <= 10 ids, so a byte each
     partition_of = bytearray(len(seq))
@@ -364,13 +370,11 @@ def pairing_offline(transcript: "AdversaryTranscript") -> Allocation:
         skip = ~free
         e = 0
         while True:
-            # e's q copies follow those of the e - below smaller filler
-            # elements, and the k-th pair that needs e takes the k-th from
-            # the back; a bottleneck has no copies and fails the check
-            below = bisect_left(bottlenecks, e)
+            # the k-th pair that needs e takes its k-th copy from the back;
+            # a cross-class pair never needs a bottleneck, which has none
             k = used[e]
             used[e] = k + 1
-            j = start + q * (e - below) + q - 1 - k
+            j = ends[e] - 1 - k
             if j >= len(seq) or seq[j].members != (e,):
                 raise TranscriptError(
                     f"ran out of {{{e}}} singletons while pairing")

@@ -621,6 +621,10 @@ def test_game_q_is_capped():
     # of 2^20 ids
     with pytest.raises(ValueError, match="at most 20"):
         gen_scom(MAX_GAME_Q + 1)
+    # a plain message, not the shift's "negative shift count"
+    with pytest.raises(ValueError, match="q must not be negative"):
+        gen_scom(-3)
+    assert gen_scom(0) == []
     with pytest.raises(ValueError, match=r"2\.\.20"):
         play_game(GreedyCover(), MAX_GAME_Q + 1, "sb")
 

@@ -125,6 +125,15 @@ def test_tracker_error_paths():
     assert ExpectationTracker(2, [1]).recolor(0, []) == 0
 
 
+def test_tracker_refuses_sizes_past_int64():
+    # a declared fmin of 2**63 does not fit the int64 countdown
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        ExpectationTracker(2, [2 ** 63])
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        ExpectationTracker(2, [-(2 ** 63) - 1])
+    assert ExpectationTracker(2, [2 ** 63 - 1]).expectation == 0.0
+
+
 def test_tracker_refuses_more_than_max_cells():
     # checked before the n x colors table is allocated
     with pytest.raises(ValueError, match="tracker cells"):
