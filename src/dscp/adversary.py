@@ -252,14 +252,9 @@ def max_bound(q: int, variant: str) -> tuple[int, tuple[int, ...]]:
     if not 1 <= q <= MAX_BOUND_Q:
         raise ValueError(f"q must be in 1..{MAX_BOUND_Q}")
     fn = BOUNDS[variant]
-    best = -1
-    witness: tuple[int, ...] = ()
-    for sizes in _partitions(q, q):
-        value = fn(sizes, q)
-        if value > best:
-            best = value
-            witness = sizes
-    return best, witness
+    # max keeps the first maximal partition
+    witness = max(_partitions(q, q), key=lambda sizes: fn(sizes, q))
+    return fn(witness, q), witness
 
 
 @dataclass(frozen=True)

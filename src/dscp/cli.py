@@ -11,9 +11,9 @@ Line protocol (child process stdio, one token group per line):
 
 The driver never sends the next SUBSET before reading the previous ASSIGN,
 so irrevocability is enforced on the wire.  Any malformed reply, a reply
-after END, a timeout (default 10 s per move, the send included) or a
-mid-game child exit is a protocol violation; the run is scored as zero
-covers and the process exits with status 2.
+line over 64 KiB, a reply after END, a timeout (default 10 s per move, the
+send included) or a mid-game child exit is a protocol violation; the run
+is scored as zero covers and the process exits with status 2.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ from .online import (
 )
 
 DEFAULT_TIMEOUT = 10.0
+# the longest reply line, in bytes; ASSIGN with the longest pid int() parses
+# (4300 digits) fits many times over
+MAX_REPLY = 1 << 16
 
 ALGORITHMS = ("greedy", "randcolour", "polyon", "external")
 
@@ -258,6 +261,8 @@ class ExternalAlgorithm(OnlineAlgorithm):
         self._buf = b""
 
     def init(self, universe: Universe, fmin: int) -> None:
+        # a stream that stopped before finish still holds its child
+        self.close()
         self._buf = b""
         self._proc = subprocess.Popen(
             self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -303,11 +308,10 @@ class ExternalAlgorithm(OnlineAlgorithm):
         if proc is None:
             return
         for stream in (proc.stdin, proc.stdout):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
+            try:
+                stream.close()
+            except OSError:
+                pass
         try:
             proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
@@ -335,10 +339,9 @@ class ExternalAlgorithm(OnlineAlgorithm):
                     f"child stopped reading: {exc}") from None
 
     def _read_line(self, deadline: float) -> str:
-        if self._proc is None:
-            raise RuntimeError("external algorithm not initialized")
         fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buf:
+        end = self._buf.find(b"\n")
+        while end < 0 and len(self._buf) <= MAX_REPLY:
             if not _ready(fd, False, deadline):
                 raise self._violation(
                     f"no reply within {self.timeout} s")
@@ -346,17 +349,22 @@ class ExternalAlgorithm(OnlineAlgorithm):
             if not chunk:
                 raise self._violation("child exited before replying")
             self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
+            end = self._buf.find(b"\n", len(self._buf) - len(chunk))
+        if not 0 <= end <= MAX_REPLY:
+            raise self._violation(
+                f"reply line longer than {MAX_REPLY} bytes")
+        line, self._buf = self._buf[:end], self._buf[end + 1:]
         return line.decode("utf-8", errors="replace").strip()
 
     def _drain(self) -> bytes:
-        """Collect whatever the child still writes (briefly) after END."""
+        """Collect what the child still writes (briefly, and about
+        MAX_REPLY bytes at most) after END."""
         out, self._buf = self._buf, b""
-        if self._proc is None or self._proc.stdout is None:
+        if self._proc is None:
             return out
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + min(self.timeout, 0.5)
-        while _ready(fd, False, deadline):
+        while len(out) < MAX_REPLY and _ready(fd, False, deadline):
             chunk = os.read(fd, 4096)
             if not chunk:
                 break
@@ -409,14 +417,6 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-
-
-def _effective_fmin(inst: Instance, override: int | None) -> int:
-    if override is not None:
-        return override
-    if inst.fmin is not None:
-        return inst.fmin
-    return frequencies(inst.subsets, inst.universe).fmin
 
 
 def cmd_gen_theorem2(args) -> int:
@@ -476,12 +476,16 @@ def _run_algorithm(args, score: str, run):
 
 def cmd_online(args) -> int:
     inst = _load_instance(args.instance)
-    fmin = _effective_fmin(inst, args.fmin)
+    fmin = args.fmin if args.fmin is not None else inst.fmin
+    audit = fmin is not None
+    if fmin is None:
+        # no element falls under its own true minimum: nothing to audit
+        fmin = frequencies(inst.subsets, inst.universe).fmin
     if fmin < 1:
         raise ValueError(
             "instance has fmin < 1; pass --fmin or fix the instance")
     result = _run_algorithm(args, "covers", lambda algo: run_online(
-        algo, inst.subsets, inst.universe, fmin))
+        algo, inst.subsets, inst.universe, fmin, audit=audit))
     if result is None:
         return 2
     print(f"algo {args.algo}\nfmin {fmin}\ncovers {result.covers}")

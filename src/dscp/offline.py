@@ -51,6 +51,15 @@ def default_num_colors(n: int, fmin: int) -> int:
     return max(1, math.floor(fmin / math.log(n * math.log(n))))
 
 
+def color_budget(requested: int | None, n: int, fmin: int) -> int:
+    """The requested color count, else ``default_num_colors(n, fmin)``;
+    refuses a budget below 1."""
+    budget = default_num_colors(n, fmin) if requested is None else requested
+    if budget < 1:
+        raise ValueError("need at least one color")
+    return budget
+
+
 class TrackerProbe:
     """Optional observer for ExpectationTracker steps.
 
@@ -221,8 +230,7 @@ def polyoff(subsets: SubsetSequence, universe: Universe,
     out valid, where E0 is the tracker expectation before any recoloring.
     """
     freq = frequencies(subsets, universe)
-    if num_colors is None:
-        num_colors = default_num_colors(universe.n, freq.fmin)
+    num_colors = color_budget(num_colors, universe.n, freq.fmin)
     tracker = ExpectationTracker(num_colors, freq.counts, probe=probe)
     colors = [tracker.recolor(j, s.members) for j, s in enumerate(subsets)]
     return Coloring(tuple(colors), num_colors)

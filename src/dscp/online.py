@@ -26,7 +26,7 @@ from .core import (
 from .offline import (
     ExpectationTracker,
     TrackerProbe,
-    default_num_colors,
+    color_budget,
 )
 
 
@@ -78,12 +78,7 @@ class RandColour(OnlineAlgorithm):
         self.num_colors = 0
 
     def init(self, universe: Universe, fmin: int) -> None:
-        if self._requested is not None:
-            self.num_colors = self._requested
-        else:
-            self.num_colors = default_num_colors(universe.n, fmin)
-        if self.num_colors < 1:
-            raise ValueError("need at least one color")
+        self.num_colors = color_budget(self._requested, universe.n, fmin)
         self._rng = random.Random(self.seed)
 
     def assign(self, subset: Subset) -> int:
@@ -111,10 +106,7 @@ class PolyOn(OnlineAlgorithm):
         self.tracker: ExpectationTracker | None = None
 
     def init(self, universe: Universe, fmin: int) -> None:
-        if self._requested is not None:
-            self.num_colors = self._requested
-        else:
-            self.num_colors = default_num_colors(universe.n, fmin)
+        self.num_colors = color_budget(self._requested, universe.n, fmin)
         self.tracker = ExpectationTracker(
             self.num_colors, [fmin] * universe.n, probe=self.probe)
         self._shrink = ShrinkState(fmin)

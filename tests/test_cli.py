@@ -20,6 +20,7 @@ from dscp.cli import (
     CSV_FIELDS,
     ExperimentConfig,
     ExperimentRecord,
+    MAX_REPLY,
     ExternalAlgorithm,
     ProtocolViolationError,
     emit_results,
@@ -378,6 +379,56 @@ def test_external_write_timeout():
         assert time.monotonic() - start < 0.5 + 0.5
     finally:
         algo.close()
+
+
+def test_external_init_again_closes_the_held_child():
+    # the first stream stopped between init and finish
+    algo = ExternalAlgorithm(child(ROUND_ROBIN))
+    algo.init(Universe(2), 1)
+    first = algo._proc
+    try:
+        res = run_online(algo, [Subset((0, 1))], Universe(2), 1)
+        assert res.allocation.partition_of == (0,)
+        assert first.poll() is not None
+    finally:
+        first.stdin.close()
+        first.stdout.close()
+        first.kill()
+        first.wait(timeout=5)
+
+
+def test_external_endless_reply_line_is_refused_at_the_limit():
+    code = """
+import os, sys
+sys.stdin.readline()
+sys.stdin.readline()
+try:
+    while True:
+        os.write(1, b"A" * 4096)
+except BrokenPipeError:
+    pass
+"""
+    algo = ExternalAlgorithm(child(code))
+    start = time.monotonic()
+    with pytest.raises(ProtocolViolationError,
+                       match=f"reply line longer than {MAX_REPLY} bytes"):
+        run_online(algo, [Subset((0,))], Universe(1), 1)
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("length,ok", [(MAX_REPLY, True),
+                                       (MAX_REPLY + 1, False)])
+def test_external_reply_line_limit_is_exact(length, ok):
+    reply = "ASSIGN" + " " * (length - len("ASSIGN7")) + "7"
+    code = ("import sys\nsys.stdin.readline()\nsys.stdin.readline()\n"
+            f"print({reply!r}, flush=True)\nsys.stdin.readline()")
+    algo = ExternalAlgorithm(child(code))
+    if ok:
+        res = run_online(algo, [Subset((0,))], Universe(1), 1)
+        assert res.allocation.partition_of == (7,)
+    else:
+        with pytest.raises(ProtocolViolationError, match="longer than"):
+            run_online(algo, [Subset((0,))], Universe(1), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -401,17 +401,29 @@ def test_parse_instance_errors():
         parse_instance("n 2\nfmin -1\n")        # negative fmin
 
 
-def test_format_parse_round_trip():
+def test_format_parse_round_trip(tmp_path):
     rng = random.Random(0xF0F0)
+    path = tmp_path / "inst.txt"
     for _ in range(50):
         n = rng.randint(1, 8)
         seq = random_subsets(rng, n, rng.randint(0, 10))
+        if rng.random() < 0.5:
+            seq.insert(rng.randint(0, len(seq)), Subset())
         fmin = rng.choice([None, rng.randint(0, 5)])
-        text = format_instance(Universe(n), seq, fmin)
-        inst = parse_instance(text)
-        assert inst.universe.n == n
-        assert list(inst.subsets) == seq
-        assert inst.fmin == fmin
+        lines = format_instance(Universe(n), seq, fmin).splitlines(True)
+        body = 1 if fmin is None else 2
+        for _ in range(rng.randint(0, 3)):
+            lines.insert(rng.randint(body, len(lines)), "# note 1 2\n")
+        text = "".join(lines)
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            from_file = parse_instance(fh)
+        for inst in (parse_instance(text),
+                     parse_instance(io.StringIO(text, newline="\n")),
+                     from_file):
+            assert inst.universe.n == n
+            assert list(inst.subsets) == seq
+            assert inst.fmin == fmin
 
 
 # every line break of str.splitlines, each on its own and as CRLF
