@@ -230,7 +230,10 @@ def emit_results(records: Sequence[ExperimentRecord], fmt: str = "csv",
         lines = (",".join(map(str, row)) + "\n" for row in rows)
     elif fmt == "json":
         rows = [{f: getattr(r, f) for f in CSV_FIELDS} for r in records]
-        lines = (json.dumps(rows, indent=1) + "\n",)
+        for row in rows:  # JSON has no infinity: null where CSV writes inf
+            if not math.isfinite(row["ratio_lower"]):
+                row["ratio_lower"] = None
+        lines = (json.dumps(rows, indent=1, allow_nan=False) + "\n",)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     _write_text(lines, path)

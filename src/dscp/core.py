@@ -16,6 +16,8 @@ into ``c`` disjoint set covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -278,6 +280,12 @@ def validate_polychromatic(h: HypergraphView,
 #                  empty subset; lines starting with '#' are comments
 # ---------------------------------------------------------------------------
 
+# body lines per block; a block's text and rows are all the parser holds
+_BLOCK_LINES = 256
+# the characters of a block that json may read: translate deletes them all
+_BLOCK_CHARS = dict.fromkeys(map(ord, "0123456789 -\n"))
+
+
 def parse_instance(source: str | Iterable[str]) -> Instance:
     """Parse the line-oriented instance format from a string or from an
     open text file, read line by line; either way lines break where
@@ -316,7 +324,30 @@ def parse_instance(source: str | Iterable[str]) -> Instance:
         else:
             subsets.append(_parse_subset(line, lineno, n))
         break
-    subsets.extend(_parse_subset(line, lineno, n) for lineno, line in rows)
+    import json  # here, so that importing the package loads no json
+    # The rest in blocks.  One json scan reads a block whose lines are all
+    # ids of ASCII digits (and '-') split by single spaces; any other block,
+    # and any line with an id out of range, goes through _parse_subset line
+    # by line, so results, messages and line numbers are the per-line ones.
+    while block := list(islice(rows, _BLOCK_LINES)):
+        text = "\n".join(line for _, line in block)
+        got = None
+        if not text.translate(_BLOCK_CHARS):  # else json reads 1e3, NaN, [1]
+            try:
+                got = json.loads(
+                    "[[" + text.replace(" ", ",").replace("\n", "],[") + "]]")
+            except ValueError:  # 007, a double space, a 4301-digit id
+                pass
+        if got is None:
+            subsets.extend(_parse_subset(line, lineno, n)
+                           for lineno, line in block)
+            continue
+        for ids, (lineno, line) in zip(got, block):
+            if not all(map(lt, ids, ids[1:])):  # not ascending and distinct
+                ids = sorted(set(ids))
+            if ids and (ids[0] < 0 or ids[-1] >= n):
+                _parse_subset(line, lineno, n)  # raises on the first such id
+            subsets.append(Subset(tuple(ids)))
     return Instance(Universe(n), tuple(subsets), fmin)
 
 

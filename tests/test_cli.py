@@ -218,6 +218,22 @@ def test_emit_results_json_round_trip():
                      "ratio_lower": 2.0, "seed": 7, "millis": 0}]
 
 
+def test_emit_results_json_writes_null_for_zero_covers():
+    recs = [ExperimentRecord(trial=t, n=4, m=3, fmin=3, algo="greedy",
+                             covers=c, upper_bound=3, ratio_lower=r,
+                             seed=0, millis=0)
+            for t, (c, r) in enumerate([(0, float("inf")), (2, 1.5)])]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit_results(recs, "json")
+
+    def refuse(name):  # Infinity, -Infinity and NaN are not JSON
+        raise ValueError(f"not JSON: {name}")
+
+    rows = json.loads(buf.getvalue(), parse_constant=refuse)
+    assert [row["ratio_lower"] for row in rows] == [None, 1.5]
+
+
 def test_emit_results_rejects_impossible_record():
     rec = ExperimentRecord(trial=0, n=4, m=3, fmin=3, algo="greedy",
                            covers=4, upper_bound=3, ratio_lower=0.75,

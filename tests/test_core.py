@@ -17,6 +17,7 @@ from dscp.core import (
     MAX_CELLS,
     Allocation,
     Coloring,
+    Instance,
     MalformedInstanceError,
     ShrinkState,
     Subset,
@@ -430,6 +431,11 @@ def test_format_parse_round_trip(tmp_path):
 LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
                "\x85", "\u2028", "\u2029")
 
+# 600 body lines, more than two blocks of the parser's 256: a comment inside
+# the second block (line 303), then a bad token on line 404
+LONG_BODY = ("n 5\nfmin 1\n" + "0 1 4\n" * 300 + "# note\n" + "2 3\n" * 100
+             + "0 x\n" + "1\n" * 199)
+
 PARSE_CASES = [
     "n 3\nfmin 1\n0 1\n2\n",
     "# head\n  n 3 \n# between\nfmin 2\n\n 2 0 0 \n# tail",
@@ -450,6 +456,8 @@ PARSE_CASES = [
     "n 2\n0 x 5\n",
     "n 2\n1 5 -1\n",
     "n 16777217\n",
+    LONG_BODY.replace("\n0 x\n", "\n0 1\n"),  # read in three blocks
+    LONG_BODY,                   # a bad token in the second block
 ]
 
 
@@ -488,6 +496,118 @@ def test_parse_error_messages_and_lines():
         "line 2: expected 'fmin <K>', got 'fminx 3'"
     assert _outcome(lambda: parse_instance("n 4\nfmin5\n")) == \
         "line 2: expected 'fmin <K>', got 'fmin5'"
+    assert _outcome(lambda: parse_instance(LONG_BODY)) == \
+        "line 404: expected integer, got 'x'"
+    assert _outcome(lambda: parse_instance(
+        LONG_BODY.replace("0 x", "0 1 9", 1))) == \
+        "line 404: element 9 outside universe of size 5"
+    n, subsets, fmin = _outcome(lambda: parse_instance(
+        LONG_BODY.replace("0 x", "4 0 4", 1)))
+    assert (n, len(subsets), fmin) == (5, 600, 1)
+    assert subsets[299:302] == [(0, 1, 4), (2, 3), (2, 3)]
+    assert subsets[400:402] == [(0, 4), (1,)]
+
+
+def _parse_line_by_line(text):
+    """The parser's per-line rules on their own, as a reference: every body
+    line through int() and a set, in the order of the text."""
+    lines = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    rows = [(k, line) for k, line in lines if not line.startswith("#")]
+    if not rows:
+        raise MalformedInstanceError("missing 'n <N>' header")
+
+    def number(token, lineno):
+        try:
+            return int(token)
+        except ValueError:
+            raise MalformedInstanceError(
+                f"line {lineno}: expected integer, got {token!r}") from None
+
+    lineno, line = rows[0]
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "n":
+        got = f", got {line!r}" if line else ""
+        raise MalformedInstanceError(
+            f"line {lineno}: expected 'n <N>' header{got}")
+    n = number(parts[1], lineno)
+    if n < 1:
+        raise MalformedInstanceError(f"line {lineno}: n must be >= 1")
+    if n > MAX_CELLS:
+        raise MalformedInstanceError(
+            f"line {lineno}: n must be at most {MAX_CELLS}")
+    fmin, body = None, rows[1:]
+    if body and body[0][1].startswith("fmin"):
+        (lineno, line), body = body[0], body[1:]
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "fmin":
+            raise MalformedInstanceError(
+                f"line {lineno}: expected 'fmin <K>', got {line!r}")
+        fmin = number(parts[1], lineno)
+        if fmin < 0:
+            raise MalformedInstanceError(f"line {lineno}: fmin must be >= 0")
+    subsets = []
+    for lineno, line in body:
+        ids = [number(tok, lineno) for tok in line.split()]
+        bad = [i for i in ids if not 0 <= i < n]
+        if bad:
+            raise MalformedInstanceError(
+                f"line {lineno}: element {bad[0]} outside universe of size {n}")
+        subsets.append(Subset(tuple(sorted(set(ids)))))
+    return Instance(Universe(n), tuple(subsets), fmin)
+
+
+# tokens a block scan must not read the way json would: some are ids to
+# int() (+3, 007, -0, the Arabic-Indic three, 1_0), the rest are errors
+ODD_TOKENS = ("+3", "007", "-0", "-1", "1.5", "1e3", "true", "NaN",
+              "Infinity", "[1]", "1,2", "\u0663", "1_0", "1\t2", "1  2",
+              "9" * 4301)
+
+
+def _fuzz_line(rng, n, odd=None):
+    """A body line: canonical ids, unsorted and duplicate ids, blank or a
+    comment; ``odd`` is a token put at a random place, or an int id, maybe
+    out of range, put among the ids before they are sorted."""
+    ids = rng.sample(range(n), rng.randint(0, min(n, 6)))
+    if isinstance(odd, int):
+        ids.append(odd)
+    kind = rng.random()
+    if kind < 0.6:
+        ids.sort()
+    elif kind < 0.7:
+        ids.append(rng.choice(ids or [0]))
+    elif kind < 0.75 and odd is None:
+        return ""
+    elif kind < 0.8 and odd is None:
+        return rng.choice(["#", "# note 1 2", "#1.5 x"])
+    tokens = [str(i) for i in ids]
+    if isinstance(odd, str):
+        tokens.insert(rng.randint(0, len(tokens)), odd)
+    return " ".join(tokens)
+
+
+def test_parse_blocks_match_line_by_line():
+    rng = random.Random(0xB10C)
+    outcomes = {"ok": 0, "error": 0}
+    for case in range(200):
+        n = rng.choice([1, 3, 12, 40])
+        odds = ODD_TOKENS + (-3, -1, n, n + 7, 10 ** 6)
+        head = ["# head"] * rng.randint(0, 1) + [f"n {n}"]
+        if rng.random() < 0.5:
+            head.append(f"fmin {rng.randint(0, 9)}")
+        odd_rate = rng.choice([0.0, 0.002, 0.02])
+        body = [_fuzz_line(rng, n, rng.choice(odds)
+                           if rng.random() < odd_rate else None)
+                for _ in range(rng.randint(0, 700))]
+        if case % 2 and body:  # each odd token in turn, on one line
+            k = rng.randrange(len(body))
+            body[k] = _fuzz_line(rng, n, odds[case // 2 % len(odds)])
+        text = rng.choice(["\n", "\r\n", "\x85"]).join(head + body)
+        want = _outcome(lambda: _parse_line_by_line(text))
+        assert _outcome(lambda: parse_instance(text)) == want
+        assert _outcome(lambda: parse_instance(
+            io.StringIO(text, newline="\n"))) == want
+        outcomes["error" if isinstance(want, str) else "ok"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_parse_caps_header_n():
