@@ -58,6 +58,7 @@ from .core import (
 )
 from .offline import (
     LimitExceededError,
+    check_fmin,
     exact_max_disjoint_covers,
     polyoff,
 )
@@ -530,7 +531,7 @@ def cmd_experiment(args) -> int:
             m = args.m
             if m is None:
                 # random_instance refuses any other p
-                m = round(k / args.p) if 0 < args.p <= 1 else 0
+                m = round(check_fmin(k) / args.p) if 0 < args.p <= 1 else 0
             cfg = ExperimentConfig(n=n, p=args.p, m=m, k=k,
                                    trials=args.trials, algorithms=algos,
                                    seed=args.seed)

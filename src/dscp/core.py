@@ -16,7 +16,7 @@ into ``c`` disjoint set covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -203,12 +203,10 @@ def count_covers(alloc: Allocation, subsets: SubsetSequence,
 def build_hypergraph(subsets: SubsetSequence,
                      universe: Universe) -> HypergraphView:
     """Build the dual hypergraph (vertex per subset, edge per element)."""
+    frequencies(subsets, universe)  # refuses an element outside the universe
     edges: list[list[int]] = [[] for _ in range(universe.n)]
     for j, s in enumerate(subsets):
         for i in s:
-            if not 0 <= i < universe.n:
-                raise MalformedInstanceError(
-                    f"element {i} outside universe of size {universe.n}")
             edges[i].append(j)
     return HypergraphView(len(subsets), tuple(tuple(e) for e in edges))
 
@@ -310,25 +308,24 @@ def parse_instance(source: str | Iterable[str]) -> Instance:
         raise MalformedInstanceError(
             f"line {lineno}: n must be at most {MAX_CELLS}")
     fmin: int | None = None
-    subsets: list[Subset] = []
-    for lineno, line in rows:  # the optional fmin line, else a subset
-        if line.startswith("fmin"):
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "fmin":
-                raise MalformedInstanceError(
-                    f"line {lineno}: expected 'fmin <K>', got {line!r}")
-            fmin = _parse_int(parts[1], lineno)
-            if fmin < 0:
-                raise MalformedInstanceError(
-                    f"line {lineno}: fmin must be >= 0")
-        else:
-            subsets.append(_parse_subset(line, lineno, n))
-        break
+    first = list(islice(rows, 1))  # the optional fmin line, else a subset
+    if first and first[0][1].startswith("fmin"):
+        lineno, line = first.pop()
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "fmin":
+            raise MalformedInstanceError(
+                f"line {lineno}: expected 'fmin <K>', got {line!r}")
+        fmin = _parse_int(parts[1], lineno)
+        if fmin < 0:
+            raise MalformedInstanceError(f"line {lineno}: fmin must be >= 0")
+    rows = chain(first, rows)
     import json  # here, so that importing the package loads no json
-    # The rest in blocks.  One json scan reads a block whose lines are all
-    # ids of ASCII digits (and '-') split by single spaces; any other block,
-    # and any line with an id out of range, goes through _parse_subset line
-    # by line, so results, messages and line numbers are the per-line ones.
+    # The body in blocks.  One json scan reads a block whose lines are all
+    # ids of ASCII digits (and '-') split by single spaces; any other block
+    # is read by int() line by line.  Either way each row, in line order,
+    # then takes the one row rule below, so results, messages and line
+    # numbers do not depend on which reader ran.
+    subsets: list[Subset] = []
     while block := list(islice(rows, _BLOCK_LINES)):
         text = "\n".join(line for _, line in block)
         got = None
@@ -338,30 +335,24 @@ def parse_instance(source: str | Iterable[str]) -> Instance:
                     "[[" + text.replace(" ", ",").replace("\n", "],[") + "]]")
             except ValueError:  # 007, a double space, a 4301-digit id
                 pass
-        if got is None:
-            subsets.extend(_parse_subset(line, lineno, n)
-                           for lineno, line in block)
-            continue
-        for ids, (lineno, line) in zip(got, block):
-            if not all(map(lt, ids, ids[1:])):  # not ascending and distinct
-                ids = sorted(set(ids))
+        if got is None:  # lazily, so an earlier row's error comes first
+            got = (_parse_ids(line, lineno) for lineno, line in block)
+        for row, (lineno, _) in zip(got, block):
+            ids = row if all(map(lt, row, row[1:])) else sorted(set(row))
             if ids and (ids[0] < 0 or ids[-1] >= n):
-                _parse_subset(line, lineno, n)  # raises on the first such id
+                i = next(i for i in row if not 0 <= i < n)
+                raise MalformedInstanceError(
+                    f"line {lineno}: element {i} outside universe of size {n}")
             subsets.append(Subset(tuple(ids)))
     return Instance(Universe(n), tuple(subsets), fmin)
 
 
-def _parse_subset(line: str, lineno: int, n: int) -> Subset:
-    """One body line; a blank line is the empty subset."""
+def _parse_ids(line: str, lineno: int) -> list[int]:
+    """A body line's ids in line order; a blank line has none."""
     try:
-        ids = set(map(int, line.split()))
+        return list(map(int, line.split()))
     except ValueError:  # name the first bad token
-        ids = [_parse_int(tok, lineno) for tok in line.split()]
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        i = next(i for i in map(int, line.split()) if not 0 <= i < n)
-        raise MalformedInstanceError(
-            f"line {lineno}: element {i} outside universe of size {n}")
-    return Subset(tuple(sorted(ids)))
+        return [_parse_int(tok, lineno) for tok in line.split()]
 
 
 def _parse_int(token: str, lineno: int) -> int:

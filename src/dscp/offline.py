@@ -39,6 +39,13 @@ class TranscriptError(ValueError):
     """A game transcript is internally inconsistent."""
 
 
+def check_fmin(fmin: int) -> int:
+    """Return ``fmin``; refuse 2**1000 or more before it becomes a float."""
+    if fmin >= 1 << 1000:  # past any stream; fmin / ln(2 ln 2) stays finite
+        raise ValueError("fmin must be below 2**1000")
+    return fmin
+
+
 def default_num_colors(n: int, fmin: int) -> int:
     """Default color budget max(1, floor(fmin / ln(n ln n))).
 
@@ -48,7 +55,7 @@ def default_num_colors(n: int, fmin: int) -> int:
     """
     if n < 2:
         return max(1, fmin)
-    return max(1, math.floor(fmin / math.log(n * math.log(n))))
+    return max(1, math.floor(check_fmin(fmin) / math.log(n * math.log(n))))
 
 
 def color_budget(requested: int | None, n: int, fmin: int) -> int:

@@ -618,6 +618,28 @@ def test_cli_polyon_keeps_largest_int64_fmin():
         "underfull 0,1", "allocation 0 0 0"]
 
 
+FMIN_401 = "1" + "0" * 400  # 401 digits, past float range
+
+
+@pytest.mark.parametrize("args,stdin", [
+    (("online", "--algo", "polyon"), f"n 5\nfmin {FMIN_401}\n0 1 2 3 4\n"),
+    (("online", "--algo", "randcolour"), f"n 5\nfmin {FMIN_401}\n0 1 2 3\n"),
+    (("online", "--algo", "polyon", "--fmin", FMIN_401), "n 5\n0 1 2 3 4\n"),
+    (("online", "--algo", "randcolour", "--fmin", FMIN_401), "n 2\n0 1\n"),
+    (("online", "--algo", "polyon", "--fmin", str(10 ** 308)), "n 2\n0 1\n"),
+    (("online", "--algo", "polyon", "--fmin", str(1 << 1000)), "n 2\n0 1\n"),
+    (("experiment", "--n", "5", "--fmin", FMIN_401, "--trials", "1"), ""),
+    (("experiment", "--n", "5", "--fmin", f"3,{FMIN_401}"), ""),
+], ids=["polyon-header", "randcolour-header", "polyon-flag",
+        "randcolour-flag", "1e308-n2", "2**1000", "experiment",
+        "experiment-second-cell"])
+def test_cli_refuses_fmin_past_float_range(args, stdin):
+    proc = run_cli(*args, stdin=stdin)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: fmin must be below 2**1000\n")
+
+
 PEAK_RSS = """
 import resource, sys
 from dscp.cli import main

@@ -610,6 +610,43 @@ def test_parse_blocks_match_line_by_line():
     assert min(outcomes.values()) >= 40, outcomes
 
 
+# first body lines: each odd token alone and among ids, ids out of range,
+# blank, unsorted, and lines that look like an fmin line
+FIRST_LINES = (*ODD_TOKENS, *(f"1 {tok} 3" for tok in ODD_TOKENS),
+               "4 0 9 -1", "0 5", "-1", "", "3 1 1", "fmin", "fmin 3 4",
+               "fminx 2", "fmin -1")
+
+
+def _first_line_texts():
+    for fmin in ([], ["fmin 2"]):
+        for first in FIRST_LINES:
+            for rest in ([], ["4 2"]):
+                yield "\n".join(["n 5", *fmin, first, *rest])
+                yield "\n".join(["# a", "n 5", "# b", *fmin, "# c", "#",
+                                 first, "# d", *rest])
+        yield "\n".join(["n 5", *fmin])
+        yield "\n".join(["# a", "n 5", "# b", *fmin, "# c", ""])
+
+
+def test_parse_first_body_line_matches_line_by_line():
+    outcomes = {"ok": 0, "error": 0}
+    for text in _first_line_texts():
+        want = _outcome(lambda: _parse_line_by_line(text))
+        assert _outcome(lambda: parse_instance(text)) == want, text
+        assert _outcome(lambda: parse_instance(
+            io.StringIO(text, newline="\n"))) == want, text
+        outcomes["error" if isinstance(want, str) else "ok"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+    assert _outcome(lambda: parse_instance("n 5\n# c\n\n4 2")) == \
+        (5, [(), (2, 4)], None)
+    assert _outcome(lambda: parse_instance("n 5\nfmin 2\n# c\n4 0 9 -1")) \
+        == "line 4: element 9 outside universe of size 5"
+    assert _outcome(lambda: parse_instance("n 5\nfmin 2\nfmin 3 4")) == \
+        "line 3: expected integer, got 'fmin'"
+    assert _outcome(lambda: parse_instance("# a\nn 5\n# b\nfmin 2\n")) == \
+        (5, [], 2)
+
+
 def test_parse_caps_header_n():
     assert parse_instance(f"n {MAX_CELLS}\n").universe.n == 1 << 24
     with pytest.raises(MalformedInstanceError,

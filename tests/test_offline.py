@@ -84,6 +84,15 @@ def test_default_num_colors_frozen_values():
     assert default_num_colors(1, 0) == 1
 
 
+def test_default_num_colors_refuses_fmin_past_float_range():
+    # refused before fmin / ln(n ln n) is taken as a float
+    for n in (2, 3, 450):
+        with pytest.raises(ValueError, match=r"^fmin must be below 2\*\*1000"):
+            default_num_colors(n, 1 << 1000)
+    # the largest fmin kept, over the smallest divisor ln(2 ln 2) < 1
+    assert default_num_colors(2, (1 << 1000) - 1) > 1 << 1000
+
+
 # ---------------------------------------------------------------------------
 # expectation tracker
 # ---------------------------------------------------------------------------
